@@ -41,7 +41,7 @@ from .hecke import (
     stability_check,
     verify_eigen_relations,
 )
-from .quaternion import decompose, parse_quaternion
+from .quaternion import _smallest_odd_prime_factor, decompose, parse_quaternion
 from .spectral import (
     ramanujan_violation_check,
     satake_csv_rows,
@@ -83,7 +83,7 @@ COMMAND_OPERATIONS = {
         "formal.formal_to_json_obj",
         "formal.formal_from_json_obj",
     ),
-    "check-maass": ("lift.check_maass", "formal.reduce_eigen2"),
+    "check-maass": ("lift.check_maass", "formal.reduce_eigen2", "formal.rel_err"),
     "hecke": (
         "hecke.apply",
         "hecke.extract_lambda",
@@ -170,7 +170,7 @@ def _lambdas_from_config(cfg, n_max) -> dict:
         lo, hi = rand.get("range", [-2.0, 2.0])
         p = 3
         while p <= n_max:
-            if all(p % q for q in range(3, int(p ** 0.5) + 1, 2)):
+            if _smallest_odd_prime_factor(p) == p:
                 lams.setdefault(p, rng.uniform(lo, hi))
             p += 2
     return lams
@@ -264,10 +264,10 @@ def _cmd_invert(args) -> int:
     n_max = args.nmax or table.k_max // 2
     if 2 * n_max > table.k_max:
         raise CliError(f"--nmax {n_max} exceeds the table bound {table.k_max}")
-    values = {}
-    for N in range(1, n_max + 1):
-        v = source_coefficient(table, N)
-        values[str(N)] = formal_to_json_obj(v) if table.backend == "formal" else float(v)
+    values = {
+        str(N): formal_to_json_obj(source_coefficient(table, N))
+        for N in range(1, n_max + 1)
+    }
     _dump_json({"epsilon": table.epsilon, "values": values}, args.out)
     return 0
 

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .formal import FormalCoefficient
+from .formal import rel_err
 from .lift import CoefficientTable, TableBoundsError, check_maass, valid_indices
 from .quaternion import (
     UNIFORMIZER,
     CanonicalIndex,
     HurwitzQuaternion,
-    _is_odd_prime,
+    _smallest_odd_prime_factor,
     decompose,
     exact_divide,
     is_valid_index,
@@ -88,7 +88,7 @@ class HeckeOperator:
         if self.kind == "T2":
             if self.prime != 2:
                 raise ValueError("T2 requires prime 2")
-        elif not _is_odd_prime(self.prime):
+        elif _smallest_odd_prime_factor(self.prime) != self.prime:
             raise ValueError(f"{self.kind} requires an odd prime, got {self.prime}")
 
     @property
@@ -99,15 +99,10 @@ class HeckeOperator:
         return self.prime * self.prime if self.kind == "H3" else self.prime
 
 
-def _as_float(v) -> float:
-    if isinstance(v, FormalCoefficient):
-        raise TypeError("Hecke application needs a numeric table")
-    return float(v)
-
-
 def _raw(table: CoefficientTable, idx: CanonicalIndex) -> float:
-    """Un-normalized coefficient sqrt(K) * a at a valid in-bounds index."""
-    return _as_float(table.value_at(*idx)) * math.sqrt(idx.K)
+    """Un-normalized coefficient sqrt(K) * a at a valid in-bounds index; a
+    formal entry raises TypeError, as it multiplies only by exact numbers."""
+    return table.value_at(*idx) * math.sqrt(idx.K)
 
 
 def _raw_at_point(table: CoefficientTable, q: Optional[HurwitzQuaternion]) -> float:
@@ -151,15 +146,14 @@ def _apply_impl(op, table, idx, beta):
         )
     p = op.prime
     reps = unit_class_reps(p)
-    if op.kind == "H2":
-        s1 = sum(_raw_at_point(table, (beta * al).divide_scalar(p)) for al in reps)
-        s2 = sum(_raw_at_point(table, al.conjugate() * beta) for al in reps)
-        return p * (s1 + s2)
-    if op.kind == "H4":
-        s1 = sum(
-            _raw_at_point(table, (al.conjugate() * beta).divide_scalar(p)) for al in reps
-        )
-        s2 = sum(_raw_at_point(table, beta * al) for al in reps)
+    if op.kind in ("H2", "H4"):
+        # Both mirror generators sum over the two families conj(alpha) beta
+        # and beta alpha; H4 divides the first by p, H2 the second.
+        left = [al.conjugate() * beta for al in reps]
+        right = [beta * al for al in reps]
+        divided, kept = (left, right) if op.kind == "H4" else (right, left)
+        s1 = sum(_raw_at_point(table, q.divide_scalar(p)) for q in divided)
+        s2 = sum(_raw_at_point(table, q) for q in kept)
         return p * (s1 + s2)
     # H3
     total = p * p * _raw_at_point(table, beta.divide_scalar(p))
@@ -262,10 +256,6 @@ def _fit_ratio(values):
     return mu, err
 
 
-def _rel(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
 def verify_eigen_relations(
     table: CoefficientTable,
     primes,
@@ -292,7 +282,7 @@ def verify_eigen_relations(
             expected = -3.0 * math.sqrt(2.0) * table.epsilon
             relations = {
                 "constant": err <= tolerance,
-                "t2_scalar": _rel(mu, expected) <= tolerance,
+                "t2_scalar": rel_err(mu, expected) <= tolerance,
             }
             reports.append(
                 EigenReport(
@@ -321,10 +311,10 @@ def verify_eigen_relations(
             relations["lambda_extracted"] = False
         if lam is not None:
             relations["lambda_extracted"] = True
-            relations["mu2_eq_mu4"] = _rel(mu["H2"], mu["H4"]) <= tolerance
-            relations["mu2_scaling"] = _rel(mu["H2"], p * (p + 1) * lam) <= tolerance
+            relations["mu2_eq_mu4"] = rel_err(mu["H2"], mu["H4"]) <= tolerance
+            relations["mu2_scaling"] = rel_err(mu["H2"], p * (p + 1) * lam) <= tolerance
             relations["mu3_formula"] = (
-                _rel(mu["H3"], p * p * lam * lam + p ** 3 + p) <= tolerance
+                rel_err(mu["H3"], p * p * lam * lam + p ** 3 + p) <= tolerance
             )
         reports.append(
             EigenReport(
@@ -351,7 +341,7 @@ def h3_sum_identity_residual(
     rhs = sum(
         (p ** i) * apply(op, table, (p ** (m - 2 * i) * k0, 0, 1)) for i in range(l + 1)
     )
-    return _rel(lhs, rhs)
+    return rel_err(lhs, rhs)
 
 
 @dataclass

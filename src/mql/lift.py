@@ -18,12 +18,16 @@ and the odd recurrence loses its divisor weights:
 
 Presentation layers (the Hecke engine in particular) multiply by sqrt(K) to
 recover raw coefficients.  Entries at invalid indices, or with u < 0, read as
-zero; lookups beyond the table bound raise instead of zero-filling, since a
-silent truncation would corrupt eigenvalue extraction downstream.
+the plain number 0 on both backends (formal values add to and compare with
+it); lookups beyond the table bound raise instead of zero-filling, since a
+silent truncation would corrupt eigenvalue extraction downstream.  Table
+files are checked row by row on load: a non-finite numeric value, or a formal
+value that is not a JSON object, is rejected with the row's index.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +41,7 @@ from .formal import (
     formal_from_json_obj,
     formal_to_json_obj,
     reduce_eigen2,
+    rel_err,
 )
 from .quaternion import CanonicalIndex, is_valid_index
 
@@ -99,22 +104,19 @@ class CoefficientTable:
         if self.backend not in ("formal", "numeric"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
-    def _zero(self):
-        return FormalCoefficient.zero() if self.backend == "formal" else Fraction(0)
-
     def indices(self):
         return sorted(self.entries)
 
     def value_at(self, K: int, u: int, n: int):
-        """Entry at (K, u, n); zero at invalid indices or negative u, error
-        beyond the bound."""
+        """Entry at (K, u, n); the number 0 at invalid indices or negative u,
+        on either backend; error beyond the bound."""
         if u < 0 or not is_valid_index(K, u, n):
-            return self._zero()
+            return 0
         if K > self.k_max:
             raise TableBoundsError(
                 f"index ({K},{u},{n}) exceeds table bound K_max={self.k_max}"
             )
-        return self.entries.get(CanonicalIndex(K, u, n), self._zero())
+        return self.entries.get(CanonicalIndex(K, u, n), 0)
 
 
 def valid_indices(k_max: int) -> list:
@@ -147,9 +149,7 @@ def lift_coefficient(index, epsilon: int) -> FormalCoefficient:
     terms = []
     for t in range(u + 1):
         sign = Fraction((-epsilon) ** t)
-        for d in range(1, n + 1, 2):
-            if n % d:
-                continue
+        for d in _odd_divisors(n):
             den = (1 << (t + 1)) * d * d
             if K % den:
                 raise ArithmeticError(f"non-integral symbol index at {(K, u, n)}")
@@ -180,12 +180,6 @@ def dyadic_depth(N: int) -> int:
     return 2 * a + (1 if N % 4 == 2 else 0)
 
 
-def _vscale(s, v):
-    if isinstance(v, FormalCoefficient):
-        return v.scale(s)
-    return Fraction(s) * v if isinstance(v, (int, Fraction)) else float(s) * v
-
-
 def source_coefficient(table: CoefficientTable, N: int):
     """Recover the N-th source coefficient from a Maass-space table.
 
@@ -197,21 +191,13 @@ def source_coefficient(table: CoefficientTable, N: int):
     if 2 * N > table.k_max:
         raise TableBoundsError(f"need K = {2 * N} but table bound is {table.k_max}")
     u = dyadic_depth(N)
-    v1 = table.value_at(2 * N, u, 1)
-    v2 = table.value_at(N, u - 1, 1)
-    if table.backend == "formal":
-        return combine(v1, v2, 1, table.epsilon)
-    return v1 + _vscale(table.epsilon, v2)
+    return combine(
+        table.value_at(2 * N, u, 1), table.value_at(N, u - 1, 1), 1, table.epsilon
+    )
 
 
 def _odd_divisors(n: int):
     return [d for d in range(1, n + 1, 2) if n % d == 0]
-
-
-def _rel_err(lhs, rhs) -> float:
-    diff = abs(float(lhs - rhs))
-    scale = max(1.0, abs(float(lhs)), abs(float(rhs)))
-    return diff / scale
 
 
 @dataclass
@@ -241,45 +227,37 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
 
     Formal backend: the odd divisor-sum recurrence must hold exactly as
     written, the dyadic recurrence exactly after the eigenform-at-2 reduction.
-    Numeric backend: both are checked to the relative tolerance.  All indices
-    a check refers to are below the checked index, so nothing can leave the
-    table bound here.
+    Numeric backend: both are checked to the relative tolerance, and a NaN
+    fails.  An exact mismatch has no finite size, so it is listed but left out
+    of max_rel_err.  All indices a check refers to are below the checked index,
+    so nothing can leave the table bound here.
     """
     eps = table.epsilon
-    formal = table.backend == "formal"
     dyadic_failures = []
     divisor_failures = []
     max_err = 0.0
     checked = 0
+
+    def record(err, idx, failures):
+        nonlocal max_err, checked
+        checked += 1
+        if err < math.inf:
+            max_err = max(max_err, err)
+        if not err <= tolerance:
+            failures.append(idx)
+
     for idx in table.indices():
         K, u, n = idx
         lhs = table.entries[idx]
         if n > 1:
-            rhs = table._zero()
-            for d in _odd_divisors(n):
-                rhs = rhs + table.value_at(K // (d * d), u, 1)
-            checked += 1
-            if formal:
-                if lhs != rhs:
-                    divisor_failures.append(idx)
-            else:
-                err = _rel_err(lhs, rhs)
-                max_err = max(max_err, err)
-                if err > tolerance:
-                    divisor_failures.append(idx)
+            rhs = sum(table.value_at(K // (d * d), u, 1) for d in _odd_divisors(n))
+            record(rel_err(lhs, rhs), idx, divisor_failures)
         if u >= 1:
-            rhs = _vscale(Fraction(-3 * eps, 2), table.value_at(K // 2, u - 1, n))
+            rhs = Fraction(-3 * eps, 2) * table.value_at(K // 2, u - 1, n)
             if u >= 2:
-                rhs = rhs + _vscale(Fraction(-1, 2), table.value_at(K // 4, u - 2, n))
-            checked += 1
-            if formal:
-                if reduce_eigen2(lhs, eps) != reduce_eigen2(rhs, eps):
-                    dyadic_failures.append(idx)
-            else:
-                err = _rel_err(lhs, rhs)
-                max_err = max(max_err, err)
-                if err > tolerance:
-                    dyadic_failures.append(idx)
+                rhs = rhs + Fraction(-1, 2) * table.value_at(K // 4, u - 2, n)
+            err = rel_err(reduce_eigen2(lhs, eps), reduce_eigen2(rhs, eps))
+            record(err, idx, dyadic_failures)
     passed = not dyadic_failures and not divisor_failures
     return MaassCheckReport(
         passed, eps, checked, max_err, dyadic_failures, divisor_failures
@@ -294,27 +272,20 @@ def maass_table_from_generators(epsilon: int, generators: dict, k_max: int) -> C
     Missing generators count as zero.  The result passes check_maass by
     construction.
     """
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +-1, got {epsilon}")
-    entries = {}
-
-    def at(K, u, n):
-        if u < 0 or not is_valid_index(K, u, n):
-            return Fraction(0)
-        return entries[CanonicalIndex(K, u, n)]
-
+    table = CoefficientTable(epsilon, k_max, {}, "numeric")
+    at = table.value_at
     for idx in valid_indices(k_max):
         K, u, n = idx
         if n > 1:
-            val = sum((at(K // (d * d), u, 1) for d in _odd_divisors(n)), Fraction(0))
+            val = sum(at(K // (d * d), u, 1) for d in _odd_divisors(n))
         elif u >= 1:
             val = Fraction(-3 * epsilon, 2) * at(K // 2, u - 1, 1) - Fraction(1, 2) * at(
                 K // 4, u - 2, 1
             )
         else:
             val = Fraction(generators.get(K, 0))
-        entries[idx] = val
-    return CoefficientTable(epsilon, k_max, entries, "numeric")
+        table.entries[idx] = val
+    return table
 
 
 def random_maass_table(epsilon: int, seed: int, k_max: int) -> CoefficientTable:
@@ -333,14 +304,10 @@ def random_maass_table(epsilon: int, seed: int, k_max: int) -> CoefficientTable:
 
 def table_to_json_dict(table: CoefficientTable) -> dict:
     """JSON form: metadata plus the entry array sorted by (K, u, n)."""
-    rows = []
-    for idx in table.indices():
-        v = table.entries[idx]
-        if table.backend == "formal":
-            value = formal_to_json_obj(v)
-        else:
-            value = float(v)
-        rows.append({"K": idx.K, "u": idx.u, "n": idx.n, "value": value})
+    rows = [
+        {"K": i.K, "u": i.u, "n": i.n, "value": formal_to_json_obj(table.entries[i])}
+        for i in table.indices()
+    ]
     return {
         "epsilon": table.epsilon,
         "k_max": table.k_max,
@@ -349,15 +316,26 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
     }
 
 
+def _finite_float(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {value!r}")
+    return x
+
+
 def table_from_json_dict(obj: dict) -> CoefficientTable:
+    """Inverse of table_to_json_dict; a row with an invalid index, a
+    non-finite numeric value or a formal value that is not a JSON object
+    raises ValueError naming the row's (K, u, n)."""
     backend = obj["backend"]
+    decode = formal_from_json_obj if backend == "formal" else _finite_float
     entries = {}
     for row in obj["entries"]:
         idx = CanonicalIndex(int(row["K"]), int(row["u"]), int(row["n"]))
         if not is_valid_index(*idx):
             raise ValueError(f"invalid index {tuple(idx)} in table file")
-        value = row["value"]
-        entries[idx] = (
-            formal_from_json_obj(value) if backend == "formal" else float(value)
-        )
+        try:
+            entries[idx] = decode(row["value"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"row {tuple(idx)}: {exc}") from None
     return CoefficientTable(int(obj["epsilon"]), int(obj["k_max"]), entries, backend)

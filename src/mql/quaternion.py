@@ -265,15 +265,18 @@ def units() -> tuple:
     return elements_of_norm(1)
 
 
-def _is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
+def _smallest_odd_prime_factor(n: int):
+    """The least prime factor of an odd n >= 3, which is n itself exactly when
+    n is prime; None for even n or n < 3.  So ``_smallest_odd_prime_factor(p)
+    == p`` tests whether p is an odd prime."""
+    if n < 3 or n % 2 == 0:
+        return None
     f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
+    while f * f <= n:
+        if n % f == 0:
+            return f
         f += 2
-    return True
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +288,7 @@ def unit_class_reps(p: int) -> tuple:
     a class is its smallest member in doubled-coordinate order, and the tuple
     is sorted, so the output is deterministic.
     """
-    if not _is_odd_prime(p):
+    if _smallest_odd_prime_factor(p) != p:
         raise ValueError(f"p must be an odd prime, got {p}")
     us = units()
     reps = []
@@ -393,7 +396,7 @@ def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
     never divides such a product; that is enforced here and a violation raises,
     since it would be a genuine arithmetic bug.
     """
-    if not _is_odd_prime(p):
+    if _smallest_odd_prime_factor(p) != p:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not beta.is_primitive():
         raise ValueError(f"beta must be primitive, got {beta!r}")

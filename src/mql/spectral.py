@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .formal import FormalCoefficient, reduce_eigen2
+from .formal import reduce_eigen2, rel_err
 from .lift import CoefficientTable, SourceForm, source_coefficient
+from .quaternion import _smallest_odd_prime_factor
 
 __all__ = [
     "LocalDescriptor",
@@ -174,15 +175,6 @@ class SyntheticEigenform:
         return SourceForm(self.epsilon, dict(self.coefficients))
 
 
-def _smallest_odd_prime_factor(n: int) -> int:
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
 def synth_eigenform(epsilon: int, lambdas: dict, n_max: int) -> SyntheticEigenform:
     """Generate c(-N) for N <= n_max from the multiplicative recursions.
 
@@ -205,20 +197,6 @@ def synth_eigenform(epsilon: int, lambdas: dict, n_max: int) -> SyntheticEigenfo
     return SyntheticEigenform(epsilon, dict(lambdas), n_max, c)
 
 
-def _doubling_residual(table, c, N):
-    """Residual of c(-2N) = -(epsilon/2) c(-N); exact on formal and rational
-    backends."""
-    lhs = c[2 * N]
-    rhs = c[N]
-    eps = table.epsilon
-    if isinstance(lhs, FormalCoefficient):
-        left = reduce_eigen2(lhs, eps)
-        right = reduce_eigen2(rhs.scale(Fraction(-eps, 2)), eps)
-        return 0.0 if left == right else float("inf")
-    diff = lhs - Fraction(-eps, 2) * rhs if isinstance(lhs, Fraction) else lhs + 0.5 * eps * rhs
-    return abs(float(diff)) / max(1.0, abs(float(lhs)), abs(float(rhs)))
-
-
 def verify_cn_relations(
     table: CoefficientTable, lambdas: Optional[dict] = None, tolerance: float = 1e-8
 ) -> dict:
@@ -228,15 +206,23 @@ def verify_cn_relations(
     in the Maass space (exactly on formal and rational backends).  When odd
     eigenvalues are supplied the Hecke relation
     sqrt(p) c(-pN) + c(-N/p)/sqrt(p) = lambda_p c(-N) is checked as well.
+    A NaN fails either check.
     """
     n_max = table.k_max // 2
-    c = {N: source_coefficient(table, N) for N in range(1, n_max + 1)}
+    eps = table.epsilon
+    # The eigenform-at-2 reduction makes the formal doubling check exact.  It
+    # is linear and leaves numbers unchanged, so each c(-N) is reduced once.
+    c = {
+        N: reduce_eigen2(source_coefficient(table, N), eps) for N in range(1, n_max + 1)
+    }
+    half = Fraction(-eps, 2)
     doubling_failures = []
     max_err = 0.0
     for N in range(1, n_max // 2 + 1):
-        err = _doubling_residual(table, c, N)
+        # Scaled by |c(-N)|, not by the halved right side.
+        err = rel_err(c[2 * N], half * c[N], scale=c[N])
         max_err = max(max_err, err)
-        if err > tolerance:
+        if not err <= tolerance:
             doubling_failures.append(N)
     report = {
         "doubling": {
@@ -260,11 +246,10 @@ def verify_cn_relations(
                 lhs = sq * float(c[p * N])
                 if N % p == 0:
                     lhs += float(c[N // p]) / sq
-                rhs = lam * float(c[N])
-                err = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+                err = rel_err(lhs, lam * float(c[N]))
                 worst = max(worst, err)
                 checked += 1
-                if err > tolerance:
+                if not err <= tolerance:
                     failures.append(N)
             hecke[str(p)] = {
                 "checked": checked,

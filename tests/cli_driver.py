@@ -44,6 +44,8 @@ def run_full_suite(workdir, hash_seed):
     run("lift", "--config", cfg, "--backend", "formal", "--out", "formal.json")
     run("invert", "--table", "table.json", "--nmax", "32", "--out", "cvalues.json")
     run("check-maass", "--table", "table.json", "--out", "maass.json")
+    run("invert", "--table", "formal.json", "--out", "formal_cvalues.json")
+    run("check-maass", "--table", "formal.json", "--out", "formal_maass.json")
     run("hecke", "--table", "table.json", "--primes", "3", "--out", "eigen.json")
     run("satake", "--config", cfg, "--out-csv", "satake.csv", "--out", "satake.json")
     run("stability", "--config", cfg, "--out", "stability.json")

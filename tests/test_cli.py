@@ -1,6 +1,7 @@
 """Command-line surface: subcommand behavior, exit-status contract, input
 diagnostics, operation coverage, and byte-level determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,30 @@ def test_check_maass_fails_on_perturbed_table(tmp_path, numeric_table):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     assert run_cli(["check-maass", "--table", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "backend, value",
+    [
+        ("formal", 1.5),  # a formal value must be a JSON object
+        ("numeric", float("nan")),
+    ],
+)
+def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
+    table = tmp_path / "table.json"
+    assert run_cli(["lift", "--backend", "formal", "--kmax", "16", "--out", str(table)]) == 0
+    obj = json.loads(table.read_text())
+    obj["backend"] = backend
+    for row in obj["entries"]:
+        if backend == "numeric":
+            row["value"] = 1.0
+        if (row["K"], row["u"], row["n"]) == (8, 2, 1):
+            row["value"] = value
+    table.write_text(json.dumps(obj))
+    for command in ("check-maass", "invert"):
+        capsys.readouterr()
+        assert run_cli([command, "--table", str(table)]) == 2
+        assert "(8, 2, 1)" in capsys.readouterr().err
 
 
 def test_hecke_modes(numeric_table, capsys):
@@ -205,3 +230,33 @@ def test_cli_suite_byte_deterministic(tmp_path):
     assert a.keys() == b.keys()
     for name in a:
         assert a[name] == b[name], f"artifact {name} differs between runs"
+
+
+# sha256 of each artifact of the command-line suite: a refactor must leave
+# every byte as it was.  satake.json and satake.csv go through math.log and
+# cmath, whose last bits depend on the platform's libm, so only run-to-run
+# determinism covers them.
+PINNED_DIGESTS = {
+    "adjoint.json": "2acc5f833cee9aaa0e9f52a0d91b434bd20320121197266d049d323ac317a90a",
+    "cp5.json": "1decdfef00830b320367ca10ae075f546250ca3e507b683c2238196f5765f46d",
+    "cvalues.json": "80ca14fb6baaa2e8a2f6477d97b78cbbf9d3df03263512b397d8d3a6904b1bcf",
+    "decompose.jsonl": "50af76d47362e1a5c38093fe40d381c331f4493edd9f111b2e72ea4da3aa3211",
+    "eigen.json": "191df615735d97dd5ed561b549f7558f06a4d335669b11bf8836ebdefc0fd363",
+    "formal.json": "747deef2b4fad3c3e02615f40d2366797bbd66c95b4b3c7563b8ac23356320ed",
+    "formal_cvalues.json": "7365eb6b2339d017fe112f6d295053704ee6653b8570740d5b20929c53385fed",
+    "formal_maass.json": "bd40fbe55d4fc05021f4c57101a0ee42c02cf2065cf23a40836da45c6621cf5e",
+    "maass.json": "1a2d6df7933b79827f014f626e02a0f016f8859ef258e52c86abf9cead566ec4",
+    "source.json": "91cb48443f389dd723d552a478e3e824fa05421fec8d285b94c0010b865915da",
+    "stability.json": "f833d435d611468fb6d4dbd71005a42eb5a10bbe42a1c900e98a1107a53dfb4b",
+    "table.json": "fec1285b9d032b35299c649d10f161f444f3860bd46873a4ad27b40e0abc8154",
+}
+
+
+def test_cli_suite_matches_pinned_digests(tmp_path):
+    from cli_driver import run_full_suite
+
+    artifacts = run_full_suite(str(tmp_path), "0")
+    assert set(artifacts) == set(PINNED_DIGESTS) | {"satake.json", "satake.csv"}
+    for name, digest in PINNED_DIGESTS.items():
+        got = hashlib.sha256(artifacts[name]).hexdigest()
+        assert got == digest, f"artifact {name} changed"

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mql.formal import (
     Assignment,
@@ -111,3 +112,46 @@ def test_symbol_index_validation():
         FormalCoefficient({0: Fraction(1)})
     with pytest.raises(ValueError):
         Assignment({}, epsilon=0)
+
+
+# ------------------------------------------------------------ number protocol
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+formals = st.dictionaries(st.integers(1, 40), rationals, max_size=5).map(FormalCoefficient)
+signs = st.sampled_from([1, -1])
+
+
+@given(formals)
+def test_zero_is_additive_identity(x):
+    assert 0 + x == x + 0 == x
+    assert Fraction(0) + x == x - 0 == x
+    assert sum([x, x]) == x.scale(2)
+
+
+@given(formals, rationals)
+def test_number_multiplies_from_either_side(x, s):
+    assert s * x == x * s == x.scale(s)
+    assert s.numerator * x == x * s.numerator == x.scale(s.numerator)
+
+
+@given(formals)
+def test_equals_zero_iff_no_terms(x):
+    assert (x == 0) == (0 == x) == (x == Fraction(0)) == x.is_zero()
+    assert (x != 0) == (not x.is_zero())
+
+
+@given(formals, formals, st.lists(st.integers(1, 40), max_size=3))
+def test_equal_values_hash_equal(x, y, zero_terms):
+    same = FormalCoefficient(list(reversed(x.items())) + [(m, 0) for m in zero_terms])
+    assert same == x and hash(same) == hash(x)
+    assert hash(x + y - y) == hash(x)
+    if x.is_zero():
+        assert hash(x) == hash(0) == hash(Fraction(0))
+
+
+@given(formals, formals, rationals, rationals, signs)
+def test_reduce_eigen2_is_linear_and_fixes_numbers(a, b, s, t, eps):
+    lhs = reduce_eigen2(s * a + t * b, eps)
+    assert lhs == s * reduce_eigen2(a, eps) + t * reduce_eigen2(b, eps)
+    assert reduce_eigen2(s, eps) is s
+    assert reduce_eigen2(0.25, eps) == 0.25

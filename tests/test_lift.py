@@ -171,6 +171,14 @@ def test_numeric_check_tolerance():
     assert rep.dyadic_failures
 
 
+def test_check_maass_flags_nan_entry():
+    t = build_lift_table(SourceForm(1, {m: 0.5 for m in range(1, 33)}), 64)
+    t.entries[CanonicalIndex(8, 2, 1)] = float("nan")
+    rep = check_maass(t)
+    assert not rep.passed
+    assert CanonicalIndex(8, 2, 1) in rep.dyadic_failures
+
+
 # ------------------------------------------------- Maass-space constructions
 
 def test_generator_extension_example():

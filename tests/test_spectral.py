@@ -8,6 +8,7 @@ import random
 import pytest
 
 from mql.lift import SourceForm, build_lift_table, random_maass_table
+from mql.quaternion import CanonicalIndex
 from mql.hecke import extract_lambda, verify_eigen_relations
 from mql.spectral import (
     MODULUS_READING_NOTE,
@@ -186,6 +187,14 @@ def test_cn_relations_flags_generic_table():
     assert not rep["pass"]
     assert rep["hecke"]["3"]["failures"]
     assert rep["doubling"]["max_rel_err"] == 0.0  # doubling still exact
+
+
+def test_cn_relations_flag_nan_coefficient():
+    t = build_lift_table(SourceForm(1, {m: 0.5 for m in range(1, 65)}), 128)
+    t.entries[CanonicalIndex(10, 0, 1)] = float("nan")  # enters c(-5)
+    rep = verify_cn_relations(t)
+    assert not rep["pass"]
+    assert 5 in rep["doubling"]["failures"]
 
 
 # ------------------------------------------------------------- end-to-end
