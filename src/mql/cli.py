@@ -160,8 +160,39 @@ def _load_table(path) -> CoefficientTable:
         raise CliError(f"bad table file {path}: {exc}") from None
 
 
+def _parse_primes(items, what, *, allow_two=False) -> list:
+    """Each item as an int that is an odd prime (or 2, when allowed); the
+    first item that is not raises a CliError naming it."""
+    primes = []
+    for item in items:
+        try:
+            p = int(item)
+        except (TypeError, ValueError):
+            p = 0
+        if not (allow_two and p == 2) and _smallest_odd_prime_factor(p) != p:
+            kind = "a prime" if allow_two else "an odd prime"
+            raise CliError(f"{what} {item!r} is not {kind}")
+        primes.append(p)
+    return primes
+
+
+def _config_lambdas(cfg) -> dict:
+    """The config's 'lambdas' map, checked to have odd-prime keys and number values."""
+    raw = cfg.get("lambdas", {})
+    if not isinstance(raw, dict):
+        raise CliError("config 'lambdas' must be a JSON object")
+    lams = {}
+    for key, value in raw.items():
+        (p,) = _parse_primes([key], "lambdas key")
+        try:
+            lams[p] = float(value)
+        except (TypeError, ValueError):
+            raise CliError(f"lambdas[{key!r}] = {value!r} is not a number") from None
+    return lams
+
+
 def _lambdas_from_config(cfg, n_max) -> dict:
-    lams = {int(p): float(v) for p, v in cfg.get("lambdas", {}).items()}
+    lams = _config_lambdas(cfg)
     rand = cfg.get("random_lambdas")
     if rand:
         import random as _random
@@ -261,6 +292,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_invert(args) -> int:
     table = _load_table(args.table)
+    if args.nmax is not None and args.nmax < 1:
+        raise CliError(f"--nmax {args.nmax} must be at least 1")
     n_max = args.nmax or table.k_max // 2
     if 2 * n_max > table.k_max:
         raise CliError(f"--nmax {n_max} exceeds the table bound {table.k_max}")
@@ -300,7 +333,10 @@ def _cmd_hecke(args) -> int:
     if args.mode == "apply":
         if not args.kind or not args.index:
             raise CliError("apply mode needs --kind and at least one --index")
-        op = HeckeOperator(args.kind, args.prime)
+        try:
+            op = HeckeOperator(args.kind, args.prime)
+        except ValueError as exc:
+            raise CliError(f"--prime {args.prime}: {exc}") from None
         rows = []
         for text in args.index:
             idx = _parse_index(text)
@@ -311,7 +347,9 @@ def _cmd_hecke(args) -> int:
             rows.append({"index": list(idx), "value": value})
         _dump_json({"kind": args.kind, "prime": args.prime, "images": rows}, args.out)
         return 0
-    primes = [int(p) for p in (args.primes or "3").split(",")]
+    primes = _parse_primes(
+        (args.primes or "3").split(","), "--primes entry", allow_two=args.mode == "eigen"
+    )
     if args.mode == "lambda":
         rows = []
         for p in primes:
@@ -351,7 +389,7 @@ def _cmd_synth(args) -> int:
 def _cmd_satake(args) -> int:
     cfg = _load_config(args)
     tol = float(cfg.get("tolerance", 1e-8))
-    lams = {int(p): float(v) for p, v in cfg.get("lambdas", {}).items()}
+    lams = _config_lambdas(cfg)
     if not lams:
         raise CliError("config needs a nonempty 'lambdas' map")
     pairs = []
@@ -389,17 +427,18 @@ def _cmd_stability(args) -> int:
     seed = int(cfg.get("seed", 0))
     prime = int(cfg.get("prime", 3))
     kinds = cfg.get("kinds", ["T2", "H2", "H3", "H4"])
+    try:
+        ops = [HeckeOperator(kind, 2 if kind == "T2" else prime) for kind in kinds]
+    except ValueError as exc:
+        raise CliError(f"config prime/kinds: {exc}") from None
     table = random_maass_table(epsilon, seed, k_max)
-    reports = []
-    for kind in kinds:
-        op = HeckeOperator(kind, 2 if kind == "T2" else prime)
-        reports.append(stability_check(op, table, tol).to_json_dict())
+    reports = [stability_check(op, table, tol).to_json_dict() for op in ops]
     _dump_json({"seed": seed, "epsilon": epsilon, "k_max": k_max, "reports": reports}, args.out)
     return 0 if all(r["pass"] for r in reports) else 1
 
 
 def _cmd_adjoint(args) -> int:
-    primes = tuple(int(p) for p in (args.primes or "3,5").split(","))
+    primes = tuple(_parse_primes((args.primes or "3,5").split(","), "--primes entry"))
     report = adjoint_matrix_identities(primes)
     _dump_json(report.to_json_dict(), args.out)
     return 0 if report.passed else 1
@@ -457,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hecke", help="apply operators / verify eigenvalue relations")
     p.add_argument("--table", required=True)
     p.add_argument("--mode", choices=("eigen", "apply", "lambda"), default="eigen")
-    p.add_argument("--primes", help="comma-separated odd primes (eigen/lambda modes)")
+    p.add_argument(
+        "--primes", help="comma-separated odd primes, or 2 in eigen mode (eigen/lambda modes)"
+    )
     p.add_argument("--kind", choices=hecke_mod.KINDS)
     p.add_argument("--prime", type=int, default=3)
     p.add_argument("--index", action="append", help="index K,u,n (apply mode)")

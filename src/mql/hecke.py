@@ -21,6 +21,13 @@ classes, the actions are
 with A read as zero off the dual lattice.  The central generators act
 trivially and are not materialized.
 
+The public functions take and return ``HurwitzQuaternion`` values; the class
+sums themselves run on plain doubled-coordinate tuples through the private
+kernel of the quaternion module (product, exact scalar division, closed-form
+canonical index), so no wrapper object is built per product.  A point whose
+closed-form index fails ``is_valid_index`` raises ArithmeticError instead of
+reading as zero.
+
 Lookups that would pass the table bound raise TableBoundsError rather than
 zero-fill; a truncation here would silently corrupt every ratio computed
 downstream.
@@ -39,9 +46,15 @@ from .quaternion import (
     UNIFORMIZER,
     CanonicalIndex,
     HurwitzQuaternion,
+    _W,
+    _W_CONJ,
+    _conj,
+    _div_scalar,
+    _in_dual_lattice,
+    _lattice_index,
+    _mul,
     _smallest_odd_prime_factor,
     decompose,
-    exact_divide,
     is_valid_index,
     representative,
     unit_class_reps,
@@ -105,16 +118,19 @@ def _raw(table: CoefficientTable, idx: CanonicalIndex) -> float:
     return table.value_at(*idx) * math.sqrt(idx.K)
 
 
-def _raw_at_point(table: CoefficientTable, q: Optional[HurwitzQuaternion]) -> float:
-    """Un-normalized coefficient at a lattice point; zero off the dual lattice.
+def _raw_at_point(table: CoefficientTable, q: Optional[tuple]) -> float:
+    """Un-normalized coefficient at a lattice point in doubled coordinates;
+    zero off the dual lattice.
 
     An exact division can land in the order yet outside the dual lattice (odd
     norm); the coefficient function vanishes there.
     """
-    if q is None or not q.in_dual_lattice():
+    if q is None or not _in_dual_lattice(q):
         return 0.0
-    idx, _ = decompose(q)
-    return _raw(table, idx)
+    K, u, n = _lattice_index(q)
+    if not is_valid_index(K, u, n):
+        raise ArithmeticError(f"closed-form index {(K, u, n)} of {q} is not valid")
+    return table.value_at(K, u, n) * math.sqrt(K)
 
 
 def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float:
@@ -137,32 +153,32 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
 
 
 def _apply_impl(op, table, idx, beta):
-    if beta is None:
-        beta = representative(idx)
+    b = (representative(idx) if beta is None else beta).dc
     if op.kind == "T2":
+        # beta w^-1 = beta conj(w) / 2
         return 2.0 * (
-            _raw_at_point(table, exact_divide(beta, UNIFORMIZER, "right"))
-            + _raw_at_point(table, beta * UNIFORMIZER)
+            _raw_at_point(table, _div_scalar(_mul(b, _W_CONJ), 2))
+            + _raw_at_point(table, _mul(b, _W))
         )
     p = op.prime
-    reps = unit_class_reps(p)
+    reps = [al.dc for al in unit_class_reps(p)]
     if op.kind in ("H2", "H4"):
         # Both mirror generators sum over the two families conj(alpha) beta
         # and beta alpha; H4 divides the first by p, H2 the second.
-        left = [al.conjugate() * beta for al in reps]
-        right = [beta * al for al in reps]
+        left = [_mul(_conj(al), b) for al in reps]
+        right = [_mul(b, al) for al in reps]
         divided, kept = (left, right) if op.kind == "H4" else (right, left)
-        s1 = sum(_raw_at_point(table, q.divide_scalar(p)) for q in divided)
+        s1 = sum(_raw_at_point(table, _div_scalar(q, p)) for q in divided)
         s2 = sum(_raw_at_point(table, q) for q in kept)
         return p * (s1 + s2)
     # H3
-    total = p * p * _raw_at_point(table, beta.divide_scalar(p))
-    total += p * p * _raw_at_point(table, beta.scale(p))
+    total = p * p * _raw_at_point(table, _div_scalar(b, p))
+    total += p * p * _raw_at_point(table, tuple(v * p for v in b))
     middle = 0.0
     for a1 in reps:
-        a1c = a1.conjugate()
+        a1c_beta = _mul(_conj(a1), b)
         for a2 in reps:
-            middle += _raw_at_point(table, ((a1c * beta) * a2).divide_scalar(p))
+            middle += _raw_at_point(table, _div_scalar(_mul(a1c_beta, a2), p))
     return total + p * middle
 
 

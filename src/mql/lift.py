@@ -120,21 +120,22 @@ class CoefficientTable:
 
 
 def valid_indices(k_max: int) -> list:
-    """All valid indices with K <= k_max, sorted by (K, u, n)."""
+    """All valid indices with K <= k_max, sorted by (K, u, n).
+
+    They are the K = 2**u * n**2 * m with n odd and m = 2 mod 4, enumerated
+    directly by (u, n, m).
+    """
     out = []
-    for K in range(2, k_max + 1, 2):
-        u = 0
-        rem = K
-        while True:
-            n = 1
-            while n * n <= rem:
-                if rem % (n * n) == 0 and (rem // (n * n)) % 4 == 2:
-                    out.append(CanonicalIndex(K, u, n))
-                n += 2
-            if rem % 2:
-                break
-            rem //= 2
-            u += 1
+    u = 0
+    while 2 << u <= k_max:
+        n = 1
+        while (2 << u) * n * n <= k_max:
+            base = (1 << u) * n * n
+            out.extend(
+                CanonicalIndex(base * m, u, n) for m in range(2, k_max // base + 1, 4)
+            )
+            n += 2
+        u += 1
     out.sort()
     return out
 
@@ -324,18 +325,34 @@ def _finite_float(value) -> float:
 
 
 def table_from_json_dict(obj: dict) -> CoefficientTable:
-    """Inverse of table_to_json_dict; a row with an invalid index, a
-    non-finite numeric value or a formal value that is not a JSON object
-    raises ValueError naming the row's (K, u, n)."""
+    """Inverse of table_to_json_dict.
+
+    The rows must be exactly the valid indices with K <= k_max, each once.  A
+    row with an invalid index, K beyond k_max, a repeated index, a non-finite
+    numeric value or a formal value that is not a JSON object raises
+    ValueError naming the row's (K, u, n); so does the first missing index.
+    """
     backend = obj["backend"]
+    k_max = int(obj["k_max"])
     decode = formal_from_json_obj if backend == "formal" else _finite_float
     entries = {}
     for row in obj["entries"]:
         idx = CanonicalIndex(int(row["K"]), int(row["u"]), int(row["n"]))
         if not is_valid_index(*idx):
             raise ValueError(f"invalid index {tuple(idx)} in table file")
+        if idx.K > k_max:
+            raise ValueError(f"row {tuple(idx)} exceeds the table bound k_max={k_max}")
+        if idx in entries:
+            raise ValueError(f"duplicate row {tuple(idx)}")
         try:
             entries[idx] = decode(row["value"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"row {tuple(idx)}: {exc}") from None
-    return CoefficientTable(int(obj["epsilon"]), int(obj["k_max"]), entries, backend)
+    # Every row is now a distinct valid index <= k_max.  Each K = 2 mod 4 is
+    # valid (u = 0, n = 1), so if any index <= k_max is missing, the first
+    # one has K <= top + 4, where top is the largest K present.
+    top = max((idx.K for idx in entries), default=0)
+    for idx in valid_indices(min(k_max, top + 4)):
+        if idx not in entries:
+            raise ValueError(f"missing row {tuple(idx)} of a table with k_max={k_max}")
+    return CoefficientTable(int(obj["epsilon"]), k_max, entries, backend)

@@ -16,10 +16,27 @@ with n an odd positive integer and beta0 primitive (norm 2 mod 4, coordinate
 gcd 1).  The triple (K, u, n) with K the reduced norm is the canonical index
 that coefficient tables elsewhere in the package are keyed by.
 
+The index has a closed form that needs no division.  For q = (x, y, z, w)
+with integer coordinates, K = x^2 + y^2 + z^2 + w^2, u = v2(K) - 1 and n is
+the odd part of gcd(x, y, z, w).  Indeed K = 2**u * n**2 * N(beta0) with
+N(beta0) = 2 mod 4 and n odd, which gives u; and multiplying by 1 + i sends
+(x, y, z, w) to (x - y, x + y, z - w, z + w), so an odd prime divides every
+coordinate of (1 + i)**u * beta0 exactly when it divides every coordinate of
+beta0, which it does not, beta0 being primitive; hence n is the odd part of
+the coordinate gcd of q.
+
 This module also supplies the combinatorial layer behind the Hecke operators:
 enumeration of elements by reduced norm, the 24-element unit group, canonical
 representatives of the norm-p unit classes, and divisibility counts of the
 products of those representatives with a primitive element.
+
+``HurwitzQuaternion`` is the boundary type: every public function takes and
+returns it.  Inside the package the hot loops (the Hecke operators, the
+divisibility sweep, unit-class orbits, norm enumeration, ``decompose``) run on
+plain ``(a, b, c, d)`` tuples of doubled coordinates through a small private
+kernel: ``_mul`` (the one copy of the product formula), ``_div_scalar``
+(exact division by an integer, or None) and ``_lattice_index`` (the closed-form
+index above), which spares a wrapper object per intermediate result.
 """
 
 from __future__ import annotations
@@ -127,15 +144,8 @@ class HurwitzQuaternion:
         return HurwitzQuaternion(-self.a, -self.b, -self.c, -self.d, _check=False)
 
     def __mul__(self, other):
-        # Doubled coordinates of the product are half of the raw convolution;
-        # the halves are exact whenever both factors have valid parity.
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         return HurwitzQuaternion(
-            (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) // 2,
-            (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) // 2,
-            (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) // 2,
-            (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) // 2,
+            *_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)),
             _check=False,
         )
 
@@ -158,16 +168,8 @@ class HurwitzQuaternion:
 
     def divide_scalar(self, s: int) -> Optional["HurwitzQuaternion"]:
         """self / s when the quotient stays in the order, else None."""
-        if s == 0:
-            raise ZeroDivisionError("scalar divisor must be nonzero")
-        s = abs(s)
-        if any(v % s for v in self.dc):
-            return None
-        q = (self.a // s, self.b // s, self.c // s, self.d // s)
-        p = q[0] & 1
-        if (q[1] & 1) != p or (q[2] & 1) != p or (q[3] & 1) != p:
-            return None
-        return HurwitzQuaternion(*q, _check=False)
+        q = _div_scalar((self.a, self.b, self.c, self.d), s)
+        return None if q is None else HurwitzQuaternion(*q, _check=False)
 
     def integer_coords(self) -> Optional[tuple]:
         """(x, y, z, w) when all coordinates are integers, else None."""
@@ -177,7 +179,7 @@ class HurwitzQuaternion:
 
     def in_dual_lattice(self) -> bool:
         """Integral coordinates with even coordinate sum (= even reduced norm)."""
-        return self.integer_coords() is not None and self.norm() % 2 == 0
+        return _in_dual_lattice((self.a, self.b, self.c, self.d))
 
     def is_primitive(self) -> bool:
         """Nonzero dual-lattice element with norm 2 mod 4 and coordinate gcd 1."""
@@ -190,7 +192,61 @@ class HurwitzQuaternion:
 #: 1 + i, the even-place uniformizer; the dual lattice is its two-sided ideal.
 UNIFORMIZER = HurwitzQuaternion(2, 2, 0, 0, _check=False)
 
-_UNIFORMIZER_CONJ = HurwitzQuaternion(2, -2, 0, 0, _check=False)
+
+# -- tuple kernel: doubled coordinates (a, b, c, d) as plain int tuples ------
+
+_W = (2, 2, 0, 0)  # 1 + i
+_W_CONJ = (2, -2, 0, 0)  # 1 - i
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two order elements.  The doubled coordinates of the product
+    are half of the raw convolution; the halves are exact whenever both
+    factors have valid parity."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) // 2,
+        (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) // 2,
+        (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) // 2,
+        (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) // 2,
+    )
+
+
+def _conj(x: tuple) -> tuple:
+    a, b, c, d = x
+    return (a, -b, -c, -d)
+
+
+def _div_scalar(x: tuple, s: int) -> Optional[tuple]:
+    """x / s when the quotient stays in the order, else None."""
+    if s == 0:
+        raise ZeroDivisionError("scalar divisor must be nonzero")
+    s = abs(s)
+    a, b, c, d = x
+    if a % s or b % s or c % s or d % s:
+        return None
+    a, b, c, d = a // s, b // s, c // s, d // s
+    p = a & 1
+    if (b & 1) != p or (c & 1) != p or (d & 1) != p:
+        return None
+    return (a, b, c, d)
+
+
+def _in_dual_lattice(x: tuple) -> bool:
+    """Integer coordinates (all doubled ones even) with even coordinate sum."""
+    a, b, c, d = x
+    return not ((a | b | c | d) & 1 or (a + b + c + d) & 3)
+
+
+def _lattice_index(x: tuple) -> tuple:
+    """The canonical index (K, u, n) of a nonzero dual-lattice point, in
+    closed form (see the module docstring).  The gcd of the doubled
+    coordinates is twice that of the integer ones, with the same odd part."""
+    a, b, c, d = x
+    K = (a * a + b * b + c * c + d * d) // 4
+    g = gcd(a, b, c, d)
+    return (K, (K & -K).bit_length() - 2, g // (g & -g))
 
 
 class CanonicalIndex(NamedTuple):
@@ -253,11 +309,11 @@ def elements_of_norm(m: int) -> tuple:
                 d = isqrt(rc)
                 if d * d != rc or (d - a) & 1:
                     continue
-                out.append(HurwitzQuaternion(a, b, c, d, _check=False))
+                out.append((a, b, c, d))
                 if d:
-                    out.append(HurwitzQuaternion(a, b, c, -d, _check=False))
+                    out.append((a, b, c, -d))
     out.sort()
-    return tuple(out)
+    return tuple(HurwitzQuaternion(*x, _check=False) for x in out)
 
 
 def units() -> tuple:
@@ -290,13 +346,14 @@ def unit_class_reps(p: int) -> tuple:
     """
     if _smallest_odd_prime_factor(p) != p:
         raise ValueError(f"p must be an odd prime, got {p}")
-    us = units()
+    us = [u.dc for u in units()]
     reps = []
     seen = set()
     for e in elements_of_norm(p):
-        if e in seen:
+        x = e.dc
+        if x in seen:
             continue
-        orbit = {e * u for u in us}
+        orbit = {_mul(x, u) for u in us}
         if len(orbit) != 24:
             raise ArithmeticError(f"unit class of {e!r} has size {len(orbit)}")
         seen.update(orbit)
@@ -310,27 +367,25 @@ def decompose(q: HurwitzQuaternion):
     """Split a nonzero dual-lattice element as uniformizer**u * n * beta0.
 
     Returns ``(CanonicalIndex(K, u, n), beta0)``: K is the reduced norm of q,
-    n the largest odd integer dividing all coordinates, u the number of left
-    divisions by (1 - i)/2 needed to bring the norm to 2 mod 4, and beta0 the
-    primitive part.  The factorization is exact and unique.
+    n the largest odd integer dividing all coordinates, u = v2(K) - 1 the
+    number of left divisions by (1 - i)/2 that bring the norm to 2 mod 4, and
+    beta0 the primitive part.  The index comes in closed form; the divisions
+    are carried out only to build beta0, which is checked to be primitive.
+    The factorization is exact and unique.
     """
-    ints = q.integer_coords()
-    if ints is None or q.is_zero() or q.norm() % 2:
+    x = q.dc
+    if q.is_zero() or not _in_dual_lattice(x):
         raise ValueError(f"not a nonzero dual-lattice element: {q!r}")
-    K = q.norm()
-    n = gcd(*ints)
-    while n % 2 == 0:
-        n //= 2
-    beta = q.divide_scalar(n)
-    u = 0
-    while beta.norm() % 4 == 0:
-        beta = (_UNIFORMIZER_CONJ * beta).divide_scalar(2)
+    K, u, n = _lattice_index(x)
+    beta = _div_scalar(x, n)
+    for _ in range(u):
+        beta = _div_scalar(_mul(_W_CONJ, beta), 2)
         if beta is None:
             raise ArithmeticError(f"uniformizer division left the order at {q!r}")
-        u += 1
-    if not beta.is_primitive():
+    beta0 = HurwitzQuaternion(*beta, _check=False)
+    if not beta0.is_primitive():
         raise ArithmeticError(f"decomposition of {q!r} did not reach a primitive part")
-    return CanonicalIndex(K, u, n), beta
+    return CanonicalIndex(K, u, n), beta0
 
 
 @lru_cache(maxsize=None)
@@ -361,10 +416,10 @@ def representative(index) -> HurwitzQuaternion:
         raise ValueError(f"no representative exists for index {(K, u, n)}")
     m = K // ((1 << u) * n * n)
     x, y, z = three_squares(m - 1)
-    beta = HurwitzQuaternion(2 * x, 2 * y, 2 * z, 2, _check=False)
+    beta = (2 * x, 2 * y, 2 * z, 2)
     for _ in range(u):
-        beta = UNIFORMIZER * beta
-    return beta.scale(n)
+        beta = _mul(_W, beta)
+    return HurwitzQuaternion(*(v * n for v in beta), _check=False)
 
 
 def exact_divide(x: HurwitzQuaternion, by, side: str = "left"):
@@ -400,17 +455,19 @@ def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not beta.is_primitive():
         raise ValueError(f"beta must be primitive, got {beta!r}")
-    reps = unit_class_reps(p)
-    left = sum(1 for al in reps if (al.conjugate() * beta).divide_scalar(p) is not None)
-    right = sum(1 for al in reps if (beta * al).divide_scalar(p) is not None)
+    b = beta.dc
+    reps = [al.dc for al in unit_class_reps(p)]
+    left = sum(1 for al in reps if _div_scalar(_mul(_conj(al), b), p) is not None)
+    right = sum(1 for al in reps if _div_scalar(_mul(b, al), p) is not None)
     # p^2 | alpha*beta forces p^4 | nu(alpha*beta) = p*nu(beta), so the product
     # sweep is only reachable when p^3 divides nu(beta).
     if beta.norm() % (p ** 3) == 0:
         psq = p * p
         for al in elements_of_norm(p):
-            if (al * beta).divide_scalar(psq) is not None or (
-                beta * al
-            ).divide_scalar(psq) is not None:
+            al = al.dc
+            if _div_scalar(_mul(al, b), psq) is not None or (
+                _div_scalar(_mul(b, al), psq) is not None
+            ):
                 raise ArithmeticError(
                     f"p^2 divides a norm-{p} product with {beta!r}"
                 )

@@ -122,6 +122,45 @@ def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
         assert "(8, 2, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--prime", "4",
+          "--index", "18,0,1"], "--prime 4"),
+        (["hecke", "--table", "{table}", "--primes", "4"], "'4'"),
+        (["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "3,x"], "'x'"),
+        (["adjoint", "--primes", "x"], "'x'"),
+        (["adjoint", "--primes", "3,4"], "'4'"),
+        (["satake", "--config", "{lambda4}"], "'4'"),
+        (["stability", "--kmax", "64", "--config", "{prime4}"], "got 4"),
+        (["stability", "--kmax", "64", "--config", "{kind_x1}"], "'X1'"),
+        (["invert", "--table", "{table}", "--nmax", "-3"], "--nmax -3"),
+        (["invert", "--table", "{table}", "--nmax", "0"], "--nmax 0"),
+        (["check-maass", "--table", "{truncated}"], "missing row {first_cut}"),
+    ],
+)
+def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
+    lambda4 = tmp_path / "lambda4.json"
+    lambda4.write_text(json.dumps({"lambdas": {"3": 1.5, "4": 0.5}}))
+    prime4 = tmp_path / "prime4.json"
+    prime4.write_text(json.dumps({"prime": 4}))
+    kind_x1 = tmp_path / "kind_x1.json"
+    kind_x1.write_text(json.dumps({"kinds": ["H2", "X1"]}))
+    obj = json.loads(numeric_table.read_text())
+    cut = obj["entries"][-40]
+    obj["entries"] = obj["entries"][:-40]
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(obj))
+    files = {
+        "table": numeric_table, "lambda4": lambda4, "prime4": prime4, "kind_x1": kind_x1,
+        "truncated": truncated,
+    }
+    capsys.readouterr()
+    assert run_cli([a.format(**files) for a in argv]) == 2
+    first_cut = str((cut["K"], cut["u"], cut["n"]))
+    assert named.format(first_cut=first_cut) in capsys.readouterr().err
+
+
 def test_hecke_modes(numeric_table, capsys):
     assert run_cli(["hecke", "--table", str(numeric_table), "--primes", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)

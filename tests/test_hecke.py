@@ -25,7 +25,15 @@ from mql.lift import (
     maass_table_from_generators,
     random_maass_table,
 )
-from mql.quaternion import CanonicalIndex, decompose, elements_of_norm
+from mql.quaternion import (
+    UNIFORMIZER,
+    CanonicalIndex,
+    decompose,
+    elements_of_norm,
+    exact_divide,
+    representative,
+    unit_class_reps,
+)
 from mql.spectral import synth_eigenform
 
 SQRT2 = math.sqrt(2.0)
@@ -209,6 +217,55 @@ def test_h2_matches_full_enumeration_oracle(maass_table):
         oracle = p * (s1 + s2) / 24.0
         got = apply(HeckeOperator("H2", p), t, index)
         assert got == pytest.approx(oracle, rel=1e-10, abs=1e-10)
+
+
+def reference_apply(op, table, index):
+    """The operator by class enumeration on HurwitzQuaternion values, each
+    product decomposed through decompose; same terms, same summation order."""
+    def at(q):
+        if q is None or not q.in_dual_lattice():
+            return 0.0
+        idx, _ = decompose(q)
+        return table.value_at(*idx) * math.sqrt(idx.K)
+
+    beta = representative(index)
+    if op.kind == "T2":
+        return 2.0 * (at(exact_divide(beta, UNIFORMIZER, "right")) + at(beta * UNIFORMIZER))
+    p = op.prime
+    reps = unit_class_reps(p)
+    if op.kind in ("H2", "H4"):
+        left = [al.conjugate() * beta for al in reps]
+        right = [beta * al for al in reps]
+        divided, kept = (left, right) if op.kind == "H4" else (right, left)
+        return p * (sum(at(q.divide_scalar(p)) for q in divided) + sum(at(q) for q in kept))
+    total = p * p * at(beta.divide_scalar(p))
+    total += p * p * at(beta.scale(p))
+    middle = 0.0
+    for a1 in reps:
+        for a2 in reps:
+            middle += at(((a1.conjugate() * beta) * a2).divide_scalar(p))
+    return total + p * middle
+
+
+def test_apply_matches_quaternion_reference():
+    table = random_maass_table(-1, seed=12, k_max=2048)
+    checked = 0
+    for kind, p in (("T2", 2), ("H2", 3), ("H3", 3), ("H4", 3), ("H2", 5), ("H3", 5)):
+        op = HeckeOperator(kind, p)
+        indices = [i for i in table.indices() if i.K * op.norm_growth <= table.k_max]
+        assert len(indices) >= 20
+        for idx in indices[:60] + indices[-20:]:
+            assert apply(op, table, idx) == reference_apply(op, table, idx), (kind, p, idx)
+            checked += 1
+    assert checked >= 400
+
+
+def test_invalid_closed_form_index_raises(maass_table, monkeypatch):
+    import mql.hecke
+
+    monkeypatch.setattr(mql.hecke, "_lattice_index", lambda q: (4, 0, 1))
+    with pytest.raises(ArithmeticError):
+        apply(HeckeOperator("H2", 3), maass_table, (2, 0, 1))
 
 
 # -------------------------------------------------- representative invariance

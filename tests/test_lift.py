@@ -46,6 +46,16 @@ def test_valid_indices_complete():
             if q.in_dual_lattice():
                 seen.add(decompose(q)[0])
     assert seen == set(valid_indices(60))
+    # and for every bound up to 600 the list is the is_valid_index filter
+    full = sorted(
+        CanonicalIndex(K, u, n)
+        for K in range(601)
+        for u in range(10)
+        for n in range(1, 26, 2)
+        if is_valid_index(K, u, n)
+    )
+    for k_max in range(601):
+        assert valid_indices(k_max) == [i for i in full if i.K <= k_max]
 
 
 # ---------------------------------------------------------------------- lift
@@ -255,3 +265,31 @@ def test_table_json_rejects_bad_index():
            "entries": [{"K": 4, "u": 0, "n": 1, "value": 1.0}]}
     with pytest.raises(ValueError):
         table_from_json_dict(obj)
+
+
+def test_table_json_rejects_incomplete_tables():
+    # the rows must be exactly valid_indices(k_max), each once; the message
+    # names the first offending index
+    obj = table_to_json_dict(random_maass_table(1, seed=3, k_max=2048))
+    rows = obj["entries"]
+
+    def load(entries, k_max=2048):
+        return table_from_json_dict(dict(obj, k_max=k_max, entries=entries))
+
+    first_cut = rows[-40]
+    with pytest.raises(ValueError, match=r"missing row \(%d, %d, %d\)" % (
+        first_cut["K"], first_cut["u"], first_cut["n"]
+    )):
+        load(rows[:-40])
+    with pytest.raises(ValueError, match=r"missing row \(14, 0, 1\)"):
+        load([r for r in rows if (r["K"], r["u"], r["n"]) != (14, 0, 1)])
+    with pytest.raises(ValueError, match=r"missing row \(2, 0, 1\)"):
+        load([])
+    with pytest.raises(ValueError, match=r"duplicate row \(16, 3, 1\)"):
+        load(rows + [r for r in rows if (r["K"], r["u"], r["n"]) == (16, 3, 1)])
+    over = next(r for r in rows if r["K"] > 2000)
+    with pytest.raises(ValueError, match=r"row \(%d, %d, %d\) exceeds" % (
+        over["K"], over["u"], over["n"]
+    )):
+        load(rows, k_max=2000)
+    assert load(rows).entries.keys() == set(valid_indices(2048))

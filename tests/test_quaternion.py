@@ -2,14 +2,18 @@
 norm-p class combinatorics, checked against independent brute-force oracles."""
 
 import random
-from math import isqrt
+from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mql.quaternion import (
     CanonicalIndex,
     HurwitzQuaternion,
     UNIFORMIZER,
+    _lattice_index,
+    _mul,
     decompose,
     divisibility_counts,
     elements_of_norm,
@@ -389,6 +393,69 @@ def test_divisibility_counts_match_full_orbit_oracle():
             assert (left_full, right_full) == (24 * counts.left, 24 * counts.right)
             expected = 1 if beta.norm() % p == 0 else 0
             assert counts == (expected, expected)
+
+
+# ------------------------------------------------------------- tuple kernel
+
+def hamilton_product(x, y):
+    """Reference product on rational coordinates: (a + bi + cj + dk)/2 from
+    doubled coordinates, multiplied by the Hamilton rules, doubled back."""
+    a1, b1, c1, d1 = (Fraction(v, 2) for v in x)
+    a2, b2, c2, d2 = (Fraction(v, 2) for v in y)
+    prod = (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+    assert all((2 * v).denominator == 1 for v in prod)
+    return tuple(int(2 * v) for v in prod)
+
+
+def division_chain_index(q):
+    """Reference index by the division chain: strip the odd content, then
+    divide on the left by the uniformizer until the norm is 2 mod 4."""
+    n = gcd(*q.integer_coords())
+    while n % 2 == 0:
+        n //= 2
+    beta = q.divide_scalar(n)
+    u = 0
+    while beta.norm() % 4 == 0:
+        beta = exact_divide(beta, UNIFORMIZER, "left")
+        u += 1
+    assert beta.is_primitive()
+    return (q.norm(), u, n)
+
+
+coords = st.integers(-10**6, 10**6)
+order_elements = st.builds(
+    lambda x, half: HurwitzQuaternion(*(2 * v + half for v in x)),
+    st.tuples(coords, coords, coords, coords),
+    st.integers(0, 1),
+)
+
+
+@st.composite
+def dual_lattice_points(draw):
+    x = draw(
+        st.tuples(coords, coords, coords, coords).filter(
+            lambda t: any(t) and sum(t) % 2 == 0
+        )
+    )
+    q = HurwitzQuaternion.from_integral(*x)
+    for _ in range(draw(st.integers(0, 8))):
+        q = UNIFORMIZER * q
+    return q.scale(draw(st.sampled_from([1, 3, 5, 9, 15, 27, 35])))
+
+
+@given(dual_lattice_points())
+def test_closed_form_index_matches_division_chain(q):
+    assert _lattice_index(q.dc) == tuple(decompose(q)[0]) == division_chain_index(q)
+
+
+@given(order_elements, order_elements)
+def test_tuple_product_matches_quaternion_product(x, y):
+    assert _mul(x.dc, y.dc) == (x * y).dc == hamilton_product(x.dc, y.dc)
 
 
 # ----------------------------------------------------------------- parsing
