@@ -6,6 +6,14 @@ byte for byte: identical configuration and seed produce identical artifacts.
 Exit status is 0 exactly when all checks in scope pass; malformed input exits
 nonzero with a diagnostic naming the offending record.
 
+Every subcommand takes ``--out`` and, of the shared options, only those its
+handler reads (any other flag exits 2 naming it): --config --kmax --epsilon
+--backend for lift; --config --tolerance for check-maass and hecke; --config
+--seed --kmax --epsilon for synth; --config --tolerance --epsilon for satake;
+all but --backend for stability; none for decompose, cp-enum, invert and
+adjoint.  In hecke, --kind, --prime (default 2 for T2, else 3) and --index
+belong to apply mode and --primes to the eigen and lambda modes.
+
 The environment variable MQL_THREADS caps internal parallelism.  The current
 engine is sequential (the cap is honored trivially); the variable is still
 validated so configurations stay portable.
@@ -134,7 +142,7 @@ def _load_json(path, what):
 
 
 def _load_config(args) -> dict:
-    cfg = _load_json(args.config, "config") if getattr(args, "config", None) else {}
+    cfg = _load_json(args.config, "config") if args.config else {}
     if not isinstance(cfg, dict):
         raise CliError(f"config file {args.config} must hold a JSON object")
     for flag in ("backend", "tolerance", "seed", "kmax", "epsilon"):
@@ -322,6 +330,9 @@ def _parse_index(text):
 
 
 def _cmd_hecke(args) -> int:
+    for flag in ("--primes",) if args.mode == "apply" else ("--kind", "--prime", "--index"):
+        if getattr(args, flag[2:]) is not None:
+            raise CliError(f"{flag} does not apply in {args.mode} mode")
     cfg = _load_config(args)
     tol = float(cfg.get("tolerance", 1e-8))
     table = _load_table(args.table)
@@ -333,10 +344,11 @@ def _cmd_hecke(args) -> int:
     if args.mode == "apply":
         if not args.kind or not args.index:
             raise CliError("apply mode needs --kind and at least one --index")
+        prime = (2 if args.kind == "T2" else 3) if args.prime is None else args.prime
         try:
-            op = HeckeOperator(args.kind, args.prime)
+            op = HeckeOperator(args.kind, prime)
         except ValueError as exc:
-            raise CliError(f"--prime {args.prime}: {exc}") from None
+            raise CliError(f"--prime {prime}: {exc}") from None
         rows = []
         for text in args.index:
             idx = _parse_index(text)
@@ -345,7 +357,7 @@ def _cmd_hecke(args) -> int:
             except (ValueError, lift_mod.TableBoundsError) as exc:
                 raise CliError(f"--index {text}: {exc}") from None
             rows.append({"index": list(idx), "value": value})
-        _dump_json({"kind": args.kind, "prime": args.prime, "images": rows}, args.out)
+        _dump_json({"kind": args.kind, "prime": prime, "images": rows}, args.out)
         return 0
     primes = _parse_primes(
         (args.primes or "3").split(","), "--primes entry", allow_two=args.mode == "eigen"
@@ -444,17 +456,21 @@ def _cmd_adjoint(args) -> int:
     return 0 if report.passed else 1
 
 
-def _add_common(parser, *, out=True):
-    if out:
-        parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--config", help="JSON run configuration")
-    parser.add_argument("--tolerance", type=float, help="relative tolerance override")
-    parser.add_argument("--seed", type=int, help="random seed override")
-    parser.add_argument("--kmax", type=int, help="table bound override")
-    parser.add_argument("--epsilon", type=int, choices=(1, -1), help="even-place sign")
-    parser.add_argument(
-        "--backend", choices=("formal", "numeric"), help="coefficient backend"
-    )
+#: The shared options; each subcommand takes ``--out`` and those its handler reads.
+_COMMON = {
+    "--config": dict(help="JSON run configuration"),
+    "--tolerance": dict(type=float, help="relative tolerance override"),
+    "--seed": dict(type=int, help="random seed override"),
+    "--kmax": dict(type=int, help="table bound override"),
+    "--epsilon": dict(type=int, choices=(1, -1), help="even-place sign"),
+    "--backend": dict(choices=("formal", "numeric"), help="coefficient backend"),
+}
+
+
+def _add_common(parser, *options):
+    parser.add_argument("--out", help="output path (default: stdout)")
+    for option in options:
+        parser.add_argument(option, **_COMMON[option])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift a source form to a coefficient table")
     p.add_argument("--source", help="numeric source form file (from synth)")
-    _add_common(p)
+    _add_common(p, "--config", "--kmax", "--epsilon", "--backend")
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("invert", help="extract source coefficients from a table")
@@ -490,33 +506,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-maass", help="verify both Maass-space recurrences")
     p.add_argument("--table", required=True)
-    _add_common(p)
+    _add_common(p, "--config", "--tolerance")
     p.set_defaults(func=_cmd_check_maass)
 
     p = sub.add_parser("hecke", help="apply operators / verify eigenvalue relations")
     p.add_argument("--table", required=True)
     p.add_argument("--mode", choices=("eigen", "apply", "lambda"), default="eigen")
-    p.add_argument(
-        "--primes", help="comma-separated odd primes, or 2 in eigen mode (eigen/lambda modes)"
-    )
-    p.add_argument("--kind", choices=hecke_mod.KINDS)
-    p.add_argument("--prime", type=int, default=3)
+    p.add_argument("--primes", help="odd primes a,b,... (eigen/lambda modes; eigen takes 2)")
+    p.add_argument("--kind", choices=hecke_mod.KINDS, help="operator (apply mode)")
+    p.add_argument("--prime", type=int, help="apply mode; default 2 for T2, else 3")
     p.add_argument("--index", action="append", help="index K,u,n (apply mode)")
-    _add_common(p)
+    _add_common(p, "--config", "--tolerance")
     p.set_defaults(func=_cmd_hecke)
 
     p = sub.add_parser("synth", help="generate a synthetic eigenform")
-    _add_common(p)
+    _add_common(p, "--config", "--seed", "--kmax", "--epsilon")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("satake", help="Satake parameters and temperedness report")
     p.add_argument("--out-csv", help="CSV output path for the parameter table")
     p.add_argument("--table", help="optional table for source-coefficient checks")
-    _add_common(p)
+    _add_common(p, "--config", "--tolerance", "--epsilon")
     p.set_defaults(func=_cmd_satake)
 
     p = sub.add_parser("stability", help="Hecke images of a random Maass-space table")
-    _add_common(p)
+    _add_common(p, "--config", "--tolerance", "--seed", "--kmax", "--epsilon")
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("adjoint", help="exact adjoint identities of the generators")

@@ -127,10 +127,10 @@ def _raw_at_point(table: CoefficientTable, q: Optional[tuple]) -> float:
     """
     if q is None or not _in_dual_lattice(q):
         return 0.0
-    K, u, n = _lattice_index(q)
-    if not is_valid_index(K, u, n):
-        raise ArithmeticError(f"closed-form index {(K, u, n)} of {q} is not valid")
-    return table.value_at(K, u, n) * math.sqrt(K)
+    key = _lattice_index(q)
+    if not is_valid_index(*key):
+        raise ArithmeticError(f"closed-form index {key} of {q} is not valid")
+    return table._read(key) * math.sqrt(key[0])
 
 
 def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float:
@@ -231,8 +231,10 @@ def extract_lambda(
         if K % p == 0:
             num += _raw(table, CanonicalIndex(K // p, 0, 1))
         ests.append(num / denom)
-    spread = max(ests) - min(ests)
-    if spread > tolerance * max(1.0, max(abs(e) for e in ests)):
+    # max and min skip a NaN that is not first, so a non-finite estimate
+    # makes the spread NaN itself, which fails the test below.
+    spread = max(ests) - min(ests) if all(map(math.isfinite, ests)) else math.nan
+    if not spread <= tolerance * max(1.0, max(abs(e) for e in ests)):
         raise InconsistentRatiosError(
             f"inconsistent eigenvalue estimates at prime {p}: spread {spread:.3e}"
         )
@@ -265,8 +267,11 @@ class EigenReport:
 
 
 def _fit_ratio(values):
-    """First ratio plus the worst relative spread across the rest."""
+    """First ratio plus the worst relative spread across the rest; the spread
+    is inf when a ratio is not finite, so it fails every tolerance test."""
     mu = values[0]
+    if not all(map(math.isfinite, values)):
+        return mu, math.inf
     scale = max(1.0, max(abs(v) for v in values))
     err = max(abs(v - mu) for v in values) / scale
     return mu, err

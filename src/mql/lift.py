@@ -112,11 +112,17 @@ class CoefficientTable:
         on either backend; error beyond the bound."""
         if u < 0 or not is_valid_index(K, u, n):
             return 0
-        if K > self.k_max:
+        return self._read((K, u, n))
+
+    def _read(self, key: tuple):
+        """Entry at a valid index given as a plain (K, u, n) tuple, which
+        hashes like its CanonicalIndex; error beyond the bound."""
+        if key[0] > self.k_max:
+            K, u, n = key
             raise TableBoundsError(
                 f"index ({K},{u},{n}) exceeds table bound K_max={self.k_max}"
             )
-        return self.entries.get(CanonicalIndex(K, u, n), 0)
+        return self.entries.get(key, 0)
 
 
 def valid_indices(k_max: int) -> list:

@@ -3,14 +3,20 @@ diagnostics, operation coverage, and byte-level determinism."""
 
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mql.cli import COMMAND_OPERATIONS, main
+from mql.cli import COMMAND_OPERATIONS, build_parser, main
 
 
 def run_cli(args):
-    return main(list(args))
+    """main's return code; an argparse rejection (SystemExit) gives its exit code."""
+    try:
+        return main(list(args))
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture()
@@ -137,6 +143,14 @@ def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
         (["invert", "--table", "{table}", "--nmax", "-3"], "--nmax -3"),
         (["invert", "--table", "{table}", "--nmax", "0"], "--nmax 0"),
         (["check-maass", "--table", "{truncated}"], "missing row {first_cut}"),
+        (["check-maass", "--table", "{table}", "--epsilon", "-1"], "--epsilon"),
+        (["invert", "--table", "{table}", "--kmax", "4"], "--kmax"),
+        (["decompose", "--seed", "3", "2ij"], "--seed"),
+        (["adjoint", "--tolerance", "1"], "--tolerance"),
+        (["stability", "--kmax", "64", "--backend", "numeric"], "--backend"),
+        (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--index",
+          "2,0,1", "--primes", "5"], "--primes"),
+        (["hecke", "--table", "{table}", "--primes", "3", "--kind", "H2"], "--kind"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -186,6 +200,15 @@ def test_hecke_modes(numeric_table, capsys):
          "--prime", "3", "--index", "4,0,1"]
     ) == 2
 
+    capsys.readouterr()
+    assert run_cli(
+        ["hecke", "--table", str(numeric_table), "--mode", "apply", "--kind", "T2",
+         "--index", "2,0,1"]
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["prime"] == 2  # the resolved default for T2
+    assert payload["images"][0]["value"] == pytest.approx(-6.0, rel=1e-8)  # -3 sqrt2 * A
+
 
 def test_satake_and_stability_and_adjoint(tmp_path, capsys):
     cfg = tmp_path / "sat.json"
@@ -230,6 +253,17 @@ def test_thread_cap_validation(capsys, monkeypatch):
     monkeypatch.setenv("MQL_THREADS", "4")
     capsys.readouterr()
     assert run_cli(["adjoint"]) == 0
+
+
+def test_readme_command_lines_parse():
+    """Every `mql ...` line of the README's command-line block parses."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("mql ")]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 def test_every_public_operation_reachable():

@@ -8,6 +8,8 @@ import pytest
 
 from mql.hecke import (
     HeckeOperator,
+    _fit_ratio,
+    _usable_bases,
     InconsistentRatiosError,
     NoUsableIndexError,
     adjoint_matrix_identities,
@@ -19,6 +21,7 @@ from mql.hecke import (
     verify_eigen_relations,
 )
 from mql.lift import (
+    CoefficientTable,
     SourceForm,
     TableBoundsError,
     build_lift_table,
@@ -307,6 +310,37 @@ def test_extract_lambda_errors(maass_table):
         extract_lambda(zero, 3)
     with pytest.raises(InconsistentRatiosError):
         extract_lambda(maass_table, 3)
+
+
+def test_non_finite_lambda_estimate_fails_closed(eigen_table):
+    table, _ = eigen_table
+    bases = [i for i, _ in _usable_bases(table, 3) if i.u == 0 and i.n == 1]
+    entries = dict(table.entries)
+    entries[CanonicalIndex(3 * bases[2].K, 0, 1)] = math.nan
+    scratch = CoefficientTable(table.epsilon, table.k_max, entries, table.backend)
+    with pytest.raises(InconsistentRatiosError):
+        extract_lambda(scratch, 3)
+
+
+def test_fit_ratio_fails_closed_on_non_finite():
+    assert _fit_ratio([2.0, 2.5, 1.0]) == (2.0, 0.4)
+    for bad in (math.nan, math.inf):
+        mu, err = _fit_ratio([1.0, bad, 1.0])
+        assert mu == 1.0 and not err <= 1e-8
+
+
+def test_nan_ratio_fails_eigen_relations(eigen_table, monkeypatch):
+    import mql.hecke
+
+    table, _ = eigen_table
+    target = _usable_bases(table, 9)[1][0]
+    real_apply = mql.hecke.apply
+    monkeypatch.setattr(
+        mql.hecke, "apply",
+        lambda op, tbl, idx: math.nan if idx == target else real_apply(op, tbl, idx),
+    )
+    (report,) = verify_eigen_relations(table, (3,))
+    assert not report.relations["constant"] and not report.passed
 
 
 def test_verify_eigen_relations_values(eigen_table):
