@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -141,6 +142,31 @@ def _load_json(path, what):
         raise CliError(f"malformed JSON in {what} file {path}: {exc}") from None
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+#: What each config key the handlers read must hold: a description and a test.
+_CONFIG_TYPES = {
+    "k_max": ("an integer", _is_int),
+    "n_max": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "prime": ("an integer", _is_int),
+    "epsilon": ("an integer", _is_int),
+    "tolerance": ("a number", _is_number),
+    "r": ("a number", _is_number),
+    "kinds": (
+        "a list of operator names",
+        lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
+    ),
+    "random_lambdas": ("a JSON object", lambda v: isinstance(v, dict)),
+}
+
+
 def _load_config(args) -> dict:
     cfg = _load_json(args.config, "config") if args.config else {}
     if not isinstance(cfg, dict):
@@ -149,9 +175,12 @@ def _load_config(args) -> dict:
         v = getattr(args, flag, None)
         if v is not None:
             cfg["k_max" if flag == "kmax" else flag] = v
+    for key, (what, ok) in _CONFIG_TYPES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise CliError(f"config {key!r} = {cfg[key]!r} is not {what}")
     tol = cfg.get("tolerance")
-    if tol is not None and tol <= 0:
-        raise CliError("tolerance must be positive")
+    if tol is not None and not 0 < tol < math.inf:
+        raise CliError("tolerance must be positive and finite")
     if cfg.get("k_max") is not None and cfg["k_max"] < 2:
         raise CliError("k_max must be at least 2")
     eps = cfg.get("epsilon")
@@ -205,8 +234,14 @@ def _lambdas_from_config(cfg, n_max) -> dict:
     if rand:
         import random as _random
 
-        rng = _random.Random(int(rand.get("seed", cfg.get("seed", 0))))
-        lo, hi = rand.get("range", [-2.0, 2.0])
+        seed = rand.get("seed", cfg.get("seed", 0))
+        bounds = rand.get("range", [-2.0, 2.0])
+        if not _is_int(seed):
+            raise CliError(f"config random_lambdas 'seed' = {seed!r} is not an integer")
+        if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))):
+            raise CliError(f"config random_lambdas 'range' = {bounds!r} is not two numbers")
+        rng = _random.Random(seed)
+        lo, hi = bounds
         p = 3
         while p <= n_max:
             if _smallest_odd_prime_factor(p) == p:

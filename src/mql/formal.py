@@ -2,8 +2,16 @@
 
 The symbol C(M), M >= 1, stands for the source form's Fourier coefficient at
 -M.  A :class:`FormalCoefficient` is a finite sum  sum_M q_M * C(M)  with
-rational q_M, kept in canonical form (zero terms dropped), which makes
-equality decidable and all identities in the lift layer exact.
+rational q_M, kept in canonical form, which makes equality decidable and all
+identities in the lift layer exact.  It is stored as integer numerators
+{M: n_M} over one positive common denominator den (q_M = n_M / den), with zero
+terms dropped and den coprime to the numerators as a whole.  Arithmetic,
+evaluation, the even-symbol reduction and both JSON codecs run on these ints.
+Fractions appear only at the public boundary: the constructor takes any
+rationals, ``items()`` and ``coefficient()`` return Fractions, a scale factor
+may be one, and a JSON coefficient that is not a canonical ``p`` or ``p/q``
+string is parsed by ``Fraction``.  Every value the engine produces has a
+power-of-two denominator; other denominators (a ``1/3`` in a file) work too.
 
 Formal values follow the number protocol of floats and Fractions (``x + 0``,
 ``s * x`` for an int or Fraction s, ``x == 0`` iff x has no terms), so the
@@ -18,6 +26,7 @@ only.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,19 +48,37 @@ class UnassignedSymbolError(KeyError):
 
 
 class FormalCoefficient:
-    """A sparse rational combination of symbols C(M)."""
+    """A sparse rational combination of symbols C(M), stored as integer
+    numerators {M: n} over one positive common denominator."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=()):
-        acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
-        for m, q in items:
-            m = int(m)
-            if m < 1:
-                raise ValueError(f"symbol index must be >= 1, got {m}")
-            acc[m] = acc.get(m, Fraction(0)) + Fraction(q)
-        self._terms = {m: q for m, q in acc.items() if q}
+        fracs = [(m, Fraction(q)) for m, q in items]
+        self._set(*_sum_ratios((m, q.numerator, q.denominator) for m, q in fracs))
+
+    def _set(self, num: dict, den: int):
+        """Store num/den in canonical form: zero terms dropped and
+        gcd(den, all numerators) = 1, so that equality is plain equality."""
+        num = {m: n for m, n in num.items() if n}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {m: n // g for m, n in num.items()}
+                den //= g
+        self._num = num
+        self._den = den
+
+    @classmethod
+    def _from_numerators(cls, num: dict, den: int = 1) -> "FormalCoefficient":
+        """The value sum_M (num[M] / den) C(M) for int numerators, symbols
+        M >= 1 and a positive int den; no Fraction is built."""
+        x = object.__new__(cls)
+        x._set(num, den)
+        return x
 
     @classmethod
     def zero(cls) -> "FormalCoefficient":
@@ -59,29 +86,37 @@ class FormalCoefficient:
 
     @classmethod
     def symbol(cls, m: int) -> "FormalCoefficient":
-        return cls(((m, Fraction(1)),))
+        return cls(((m, 1),))
 
     def items(self):
-        """Terms as (M, coefficient) pairs in ascending M."""
-        return tuple(sorted(self._terms.items()))
+        """Terms as (M, Fraction coefficient) pairs in ascending M."""
+        return tuple((m, Fraction(self._num[m], self._den)) for m in sorted(self._num))
 
     def coefficient(self, m: int) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+        return Fraction(self._num.get(m, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def max_symbol(self) -> int:
-        return max(self._terms) if self._terms else 0
+        return max(self._num) if self._num else 0
 
     def __add__(self, other):
         if not isinstance(other, FormalCoefficient):
             exact_zero = isinstance(other, (int, Fraction)) and other == 0
             return self if exact_zero else NotImplemented
-        acc = dict(self._terms)
-        for m, q in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + q
-        return FormalCoefficient(acc)
+        da, db = self._den, other._den
+        if da == db:
+            acc = dict(self._num)
+            fb = 1
+        else:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+            acc = {m: n * fa for m, n in self._num.items()}
+            da *= fa
+        for m, n in other._num.items():
+            acc[m] = acc.get(m, 0) + n * fb
+        return FormalCoefficient._from_numerators(acc, da)
 
     __radd__ = __add__
 
@@ -94,24 +129,32 @@ class FormalCoefficient:
     __rmul__ = __mul__
 
     def scale(self, s) -> "FormalCoefficient":
-        s = Fraction(s)
-        if not s:
-            return FormalCoefficient()
-        return FormalCoefficient({m: q * s for m, q in self._terms.items()})
+        if isinstance(s, int):
+            p, q = s, 1
+        else:
+            s = s if isinstance(s, Fraction) else Fraction(s)
+            p, q = s.numerator, s.denominator
+        if p == q:
+            return self
+        return FormalCoefficient._from_numerators(
+            {m: n * p for m, n in self._num.items()}, self._den * q
+        )
 
     def __eq__(self, other):
         if isinstance(other, FormalCoefficient):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
-            return not self._terms and other == 0
+            return not self._num and other == 0
         return NotImplemented
 
     def __hash__(self):
         # The zero value equals the number 0, so it must hash like it.
-        return hash(self.items()) if self._terms else hash(0)
+        if not self._num:
+            return hash(0)
+        return hash((self._den, tuple(sorted(self._num.items()))))
 
     def __repr__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
         for m, q in self.items():
@@ -123,6 +166,20 @@ class FormalCoefficient:
                 body = f"{q}*C({m})"
             parts.append(body if not parts or body.startswith("-") else "+" + body)
         return "".join(parts)
+
+
+def _sum_ratios(triples):
+    """(numerators, den) of sum_M (p / q) C(M) over (M, p, q) triples with int
+    p and positive int q, den the lcm of the q; repeated symbols add up."""
+    triples = list(triples)
+    den = math.lcm(*(q for _, _, q in triples))
+    num = {}
+    for m, p, q in triples:
+        m = int(m)
+        if m < 1:
+            raise ValueError(f"symbol index must be >= 1, got {m}")
+        num[m] = num.get(m, 0) + p * (den // q)
+    return num, den
 
 
 @dataclass(frozen=True)
@@ -146,31 +203,42 @@ def combine(a, b, s, t):
 
 
 def evaluate(x: FormalCoefficient, assignment: Assignment) -> float:
-    """Substitute the assignment into x; rationals convert at the final step."""
+    """Substitute the assignment into x, summing (n / den) * value in ascending
+    M; int true division rounds correctly, so each term is float(q) * value."""
+    num, den = x._num, x._den
     total = 0.0
-    for m, q in x.items():
+    for m in sorted(num):
         try:
             v = assignment.values[m]
         except KeyError:
             raise UnassignedSymbolError(f"unassigned symbol {m}") from None
-        total += float(q) * v
+        total += (num[m] / den) * v
     return total
 
 
 def reduce_eigen2(x, epsilon: int):
     """Rewrite C(2M) -> (-epsilon/2) C(M) until only odd symbols remain; a
-    number has no symbols and is returned unchanged."""
+    number has no symbols and is returned unchanged.
+
+    A term n C(2**t M) becomes (-epsilon)**t n C(M) / 2**t; over the common
+    denominator den * 2**top, top the largest t, its numerator is shifted
+    left by top - t."""
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +-1, got {epsilon}")
     if not isinstance(x, FormalCoefficient):
         return x
+    top = max(((m & -m).bit_length() for m in x._num), default=1) - 1
+    if not top:
+        return x
     acc = {}
-    for m, q in x.items():
-        while m % 2 == 0:
-            m //= 2
-            q *= Fraction(-epsilon, 2)
-        acc[m] = acc.get(m, Fraction(0)) + q
-    return FormalCoefficient(acc)
+    for m, n in x._num.items():
+        t = (m & -m).bit_length() - 1
+        n <<= top - t
+        if epsilon == 1 and t & 1:
+            n = -n
+        m >>= t
+        acc[m] = acc.get(m, 0) + n
+    return FormalCoefficient._from_numerators(acc, x._den << top)
 
 
 def rel_err(lhs, rhs, scale=None) -> float:
@@ -185,13 +253,43 @@ def rel_err(lhs, rhs, scale=None) -> float:
 
 def formal_to_json_obj(x):
     """JSON form of a value: a sorted object {"M": "p/q", ...} for a formal
-    value, a float for a number."""
-    if isinstance(x, FormalCoefficient):
-        return {str(m): str(q) for m, q in x.items()}
-    return float(x)
+    value, each coefficient written as str(Fraction) writes it, and a float
+    for a number."""
+    if not isinstance(x, FormalCoefficient):
+        return float(x)
+    num, den = x._num, x._den
+    out = {}
+    for m in sorted(num):
+        n = num[m]
+        g = math.gcd(n, den)
+        out[str(m)] = str(n // g) if g == den else f"{n // g}/{den // g}"
+    return out
+
+
+#: The coefficient strings formal_to_json_obj writes; any other string is
+#: parsed by Fraction, so the decoder accepts exactly what Fraction(str) does.
+_CANONICAL_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(q) -> tuple:
+    """(p, d) with q == p / d and d > 0, for a JSON coefficient."""
+    match = _CANONICAL_RATIO.fullmatch(q) if isinstance(q, str) else None
+    if match:
+        p, d = match.groups()
+        d = 1 if d is None else int(d)
+        if not d:
+            raise ValueError(f"coefficient {q!r} has a zero denominator")
+        return int(p), d
+    try:
+        q = Fraction(q)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"coefficient {q!r}: {exc}") from None
+    return q.numerator, q.denominator
 
 
 def formal_from_json_obj(obj: dict) -> FormalCoefficient:
     if not isinstance(obj, dict):
         raise ValueError(f"formal value must be a JSON object, got {obj!r}")
-    return FormalCoefficient({int(m): Fraction(q) for m, q in obj.items()})
+    return FormalCoefficient._from_numerators(
+        *_sum_ratios((m, *_ratio(q)) for m, q in obj.items())
+    )

@@ -189,6 +189,11 @@ def hecke_image_table(op: HeckeOperator, table: CoefficientTable) -> Coefficient
     so that every lookup the action needs stays inside the source table.
     """
     img_k_max = table.k_max // op.norm_growth
+    # Each entry becomes a float once here, not once per lookup; a Fraction
+    # times a float is float(Fraction) times it, so every product stays
+    # bit-identical.
+    floats = {i: float(v) for i, v in table.entries.items()}
+    table = CoefficientTable(table.epsilon, table.k_max, floats, table.backend)
     entries = {}
     for idx in valid_indices(img_k_max):
         entries[idx] = apply(op, table, idx) / math.sqrt(idx.K)

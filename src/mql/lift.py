@@ -153,15 +153,15 @@ def lift_coefficient(index, epsilon: int) -> FormalCoefficient:
         raise ValueError(f"invalid index {(K, u, n)}")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +-1, got {epsilon}")
-    terms = []
+    terms = {}
     for t in range(u + 1):
-        sign = Fraction((-epsilon) ** t)
+        sign = (-epsilon) ** t
         for d in _odd_divisors(n):
             den = (1 << (t + 1)) * d * d
             if K % den:
                 raise ArithmeticError(f"non-integral symbol index at {(K, u, n)}")
-            terms.append((K // den, sign))
-    return FormalCoefficient(terms)
+            terms[K // den] = sign  # distinct (t, d) give distinct symbols
+    return FormalCoefficient._from_numerators(terms)
 
 
 def build_lift_table(source: SourceForm, k_max: int) -> CoefficientTable:
@@ -240,6 +240,7 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
     so nothing can leave the table bound here.
     """
     eps = table.epsilon
+    a1, a2 = Fraction(-3 * eps, 2), Fraction(-1, 2)
     dyadic_failures = []
     divisor_failures = []
     max_err = 0.0
@@ -260,9 +261,9 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
             rhs = sum(table.value_at(K // (d * d), u, 1) for d in _odd_divisors(n))
             record(rel_err(lhs, rhs), idx, divisor_failures)
         if u >= 1:
-            rhs = Fraction(-3 * eps, 2) * table.value_at(K // 2, u - 1, n)
+            rhs = a1 * table.value_at(K // 2, u - 1, n)
             if u >= 2:
-                rhs = rhs + Fraction(-1, 2) * table.value_at(K // 4, u - 2, n)
+                rhs = rhs + a2 * table.value_at(K // 4, u - 2, n)
             err = rel_err(reduce_eigen2(lhs, eps), reduce_eigen2(rhs, eps))
             record(err, idx, dyadic_failures)
     passed = not dyadic_failures and not divisor_failures

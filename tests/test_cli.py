@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from mql.cli import COMMAND_OPERATIONS, build_parser, main
+from mql.lift import SourceForm, build_lift_table, table_to_json_dict
 
 
 def run_cli(args):
@@ -151,24 +152,40 @@ def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
         (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--index",
           "2,0,1", "--primes", "5"], "--primes"),
         (["hecke", "--table", "{table}", "--primes", "3", "--kind", "H2"], "--kind"),
+        # a zero denominator, on the int path and on the Fraction(str) fallback
+        (["check-maass", "--table", "{zero_den}"], "(8, 2, 1)"),
+        (["check-maass", "--table", "{zero_den_spaced}"], "(8, 2, 1)"),
+        # config values of the wrong type
+        (["lift", "--config", "{kmax_str}"], "'k_max'"),
+        (["stability", "--kmax", "64", "--config", "{tolerance_str}"], "'tolerance'"),
+        (["stability", "--kmax", "64", "--config", "{seed_str}"], "'seed'"),
+        (["stability", "--kmax", "64", "--config", "{kinds_str}"], "'kinds'"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
-    lambda4 = tmp_path / "lambda4.json"
-    lambda4.write_text(json.dumps({"lambdas": {"3": 1.5, "4": 0.5}}))
-    prime4 = tmp_path / "prime4.json"
-    prime4.write_text(json.dumps({"prime": 4}))
-    kind_x1 = tmp_path / "kind_x1.json"
-    kind_x1.write_text(json.dumps({"kinds": ["H2", "X1"]}))
+    configs = {
+        "lambda4": {"lambdas": {"3": 1.5, "4": 0.5}},
+        "prime4": {"prime": 4},
+        "kind_x1": {"kinds": ["H2", "X1"]},
+        "kmax_str": {"k_max": "512"},
+        "tolerance_str": {"tolerance": "x"},
+        "seed_str": {"seed": "abc"},
+        "kinds_str": {"kinds": "H2"},
+    }
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]
     obj["entries"] = obj["entries"][:-40]
-    truncated = tmp_path / "truncated.json"
-    truncated.write_text(json.dumps(obj))
-    files = {
-        "table": numeric_table, "lambda4": lambda4, "prime4": prime4, "kind_x1": kind_x1,
-        "truncated": truncated,
-    }
+    configs["truncated"] = obj
+    for name, text in (("zero_den", "1/0"), ("zero_den_spaced", " 1/0")):
+        formal = table_to_json_dict(build_lift_table(SourceForm(1), 16))
+        for row in formal["entries"]:
+            if (row["K"], row["u"], row["n"]) == (8, 2, 1):
+                row["value"] = {"1": text}
+        configs[name] = formal
+    files = {"table": numeric_table}
+    for name, content in configs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(content))
     capsys.readouterr()
     assert run_cli([a.format(**files) for a in argv]) == 2
     first_cut = str((cut["K"], cut["u"], cut["n"]))

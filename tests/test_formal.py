@@ -155,3 +155,83 @@ def test_reduce_eigen2_is_linear_and_fixes_numbers(a, b, s, t, eps):
     assert lhs == s * reduce_eigen2(a, eps) + t * reduce_eigen2(b, eps)
     assert reduce_eigen2(s, eps) is s
     assert reduce_eigen2(0.25, eps) == 0.25
+
+
+# ------------------------------------- integer numerators vs a Fraction model
+
+def _clean(terms):
+    return {m: q for m, q in terms.items() if q}
+
+
+def _ref_reduce(terms, eps):
+    """The even-symbol reduction on a {M: Fraction} dict, step by step."""
+    acc = {}
+    for m, q in terms.items():
+        while m % 2 == 0:
+            m //= 2
+            q *= Fraction(-eps, 2)
+        acc[m] = acc.get(m, 0) + q
+    return _clean(acc)
+
+
+# symbols 2**t * odd reach deep dyadic chains; coefficients include non-dyadic ones
+symbols = st.builds(lambda t, o: (2 * o + 1) << t, st.integers(0, 12), st.integers(0, 20))
+ref_terms = st.dictionaries(
+    symbols, st.fractions(min_value=-50, max_value=50, max_denominator=40), max_size=6
+)
+scalars = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=15)
+)
+unit_floats = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(ref_terms, ref_terms, scalars, signs, st.lists(unit_floats, min_size=1, max_size=8))
+def test_matches_fraction_reference(a, b, s, eps, pool):
+    x, y = FormalCoefficient(a), FormalCoefficient(b)
+    assert dict(x.items()) == _clean(a)
+    assert dict((x + y).items()) == _clean({m: a.get(m, 0) + b.get(m, 0) for m in a | b})
+    assert dict((x - y).items()) == _clean({m: a.get(m, 0) - b.get(m, 0) for m in a | b})
+    assert dict(x.scale(s).items()) == _clean({m: q * s for m, q in a.items()})
+    reduced = _ref_reduce(a, eps)
+    assert dict(reduce_eigen2(x, eps).items()) == reduced
+    values = {m: pool[m % len(pool)] for m in set(a) | set(reduced)}
+    expected = 0.0
+    for m, q in sorted(_clean(a).items()):
+        expected += float(q) * values[m]
+    assert evaluate(x, Assignment(values, eps)) == expected
+    obj = formal_to_json_obj(x)
+    assert obj == {str(m): str(q) for m, q in sorted(_clean(a).items())}
+    assert formal_from_json_obj(obj) == x
+
+
+@pytest.mark.parametrize(
+    "text", [" 3/4", "+3", "1_0", "1.5", "3/04", "-0", "٣", "", "-", "1/0", "-12/8", "7"]
+)
+def test_decoder_accepts_exactly_what_fraction_accepts(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            formal_from_json_obj({"1": text})
+    else:
+        assert formal_from_json_obj({"1": text}) == FormalCoefficient({1: expected})
+
+
+def test_hot_path_builds_no_fraction(monkeypatch):
+    x = FormalCoefficient({12: 1, 3: -1, 40: Fraction(5, 4)})
+    y = FormalCoefficient({6: 2, 3: Fraction(1, 4)})
+    s = Fraction(-3, 2)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    z = s * x + 3 * y - x + 0
+    assert z == z.scale(1) and z != x
+    r = reduce_eigen2(z, 1)
+    evaluate(r, Assignment({3: 0.5, 5: -1.0}))
+    assert formal_from_json_obj(formal_to_json_obj(z)) == z
+    assert built == []

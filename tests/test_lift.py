@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from mql.formal import Assignment, FormalCoefficient, evaluate
+from mql.formal import Assignment, FormalCoefficient, evaluate, reduce_eigen2
 from mql.lift import (
     SourceForm,
     TableBoundsError,
@@ -258,6 +258,20 @@ def test_table_json_roundtrip():
     back = table_from_json_dict(table_to_json_dict(tn))
     for idx in tn.indices():
         assert float(back.value_at(*idx)) == float(tn.value_at(*idx))
+
+
+def test_formal_table_roundtrip_at_bench_scale():
+    # at k_max 8192 the entry at (8192, 12, 1) reduces to C(1) / 2**12
+    k_max = 8192
+    table = table_from_json_dict(table_to_json_dict(build_lift_table(SourceForm(1), k_max)))
+    assert check_maass(table).passed
+    assert max(
+        q.denominator
+        for x in table.entries.values()
+        for _, q in reduce_eigen2(x, 1).items()
+    ) == 2 ** 12
+    for N in range(1, k_max // 2 + 1):
+        assert source_coefficient(table, N) == C(N)
 
 
 def test_table_json_rejects_bad_index():
