@@ -25,7 +25,6 @@ from .lift import (
     check_maass,
     dyadic_depth,
     lift_coefficient,
-    maass_table_from_generators,
     random_maass_table,
     source_coefficient,
 )

@@ -110,7 +110,6 @@ COMMAND_OPERATIONS = {
     ),
     "stability": (
         "lift.random_maass_table",
-        "lift.maass_table_from_generators",
         "hecke.stability_check",
         "hecke.hecke_image_table",
         "hecke.h3_sum_identity_residual",
@@ -124,12 +123,27 @@ class CliError(Exception):
 
 
 def _dump_json(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        # Strict JSON has no NaN or Infinity; the report's pass carries the failure.
+        text = json.dumps(_null_non_finite(obj), sort_keys=True, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _null_non_finite(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
 
 
 def _load_json(path, what):
@@ -183,6 +197,8 @@ def _load_config(args) -> dict:
         raise CliError("tolerance must be positive and finite")
     if cfg.get("k_max") is not None and cfg["k_max"] < 2:
         raise CliError("k_max must be at least 2")
+    if cfg.get("n_max") is not None and cfg["n_max"] < 1:
+        raise CliError(f"config 'n_max' = {cfg['n_max']} must be at least 1")
     eps = cfg.get("epsilon")
     if eps is not None and eps not in (1, -1):
         raise CliError("epsilon must be 1 or -1")
@@ -479,7 +495,10 @@ def _cmd_stability(args) -> int:
     except ValueError as exc:
         raise CliError(f"config prime/kinds: {exc}") from None
     table = random_maass_table(epsilon, seed, k_max)
-    reports = [stability_check(op, table, tol).to_json_dict() for op in ops]
+    try:
+        reports = [stability_check(op, table, tol).to_json_dict() for op in ops]
+    except ValueError as exc:
+        raise CliError(f"k_max {k_max}: {exc}") from None
     _dump_json({"seed": seed, "epsilon": epsilon, "k_max": k_max, "reports": reports}, args.out)
     return 0 if all(r["pass"] for r in reports) else 1
 

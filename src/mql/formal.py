@@ -17,10 +17,10 @@ Formal values follow the number protocol of floats and Fractions (``x + 0``,
 ``s * x`` for an int or Fraction s, ``x == 0`` iff x has no terms), so the
 engine is written once for both backends; an off-lattice read is a plain 0.
 
-Evaluation substitutes floats for the symbols; the reduction
-``C(2M) -> (-epsilon/2) C(M)`` expresses that the source form is a Hecke
-eigenform at the even place and rewrites any combination into odd symbols
-only.
+Evaluation substitutes values for the symbols, exactly for ints and
+Fractions; the reduction ``C(2M) -> (-epsilon/2) C(M)`` expresses that the
+source form is a Hecke eigenform at the even place and rewrites any
+combination into odd symbols only.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def _sum_ratios(triples):
 
 @dataclass(frozen=True)
 class Assignment:
-    """Float values for symbols, together with the even-place sign."""
+    """Values for symbols (floats, ints or Fractions) and the even-place sign."""
 
     values: dict
     epsilon: int = 1
@@ -202,17 +202,26 @@ def combine(a, b, s, t):
     return s * a + t * b
 
 
-def evaluate(x: FormalCoefficient, assignment: Assignment) -> float:
-    """Substitute the assignment into x, summing (n / den) * value in ascending
-    M; int true division rounds correctly, so each term is float(q) * value."""
-    num, den = x._num, x._den
-    total = 0.0
-    for m in sorted(num):
-        try:
-            v = assignment.values[m]
-        except KeyError:
-            raise UnassignedSymbolError(f"unassigned symbol {m}") from None
-        total += (num[m] / den) * v
+def evaluate(x: FormalCoefficient, assignment: Assignment):
+    """Substitute the assignment into x: the exact sum, an int or Fraction, if
+    every value is an int or Fraction; else the float sum of (n / den) * value
+    in ascending M, where int true division makes each term float(q) * value."""
+    num, den, values = x._num, x._den, assignment.values
+    symbols = sorted(num)
+    try:
+        total = 0
+        for m in symbols:
+            v = values[m]
+            if not isinstance(v, (int, Fraction)):
+                break
+            total += num[m] * v
+        else:
+            return total if den == 1 else Fraction(total, den)
+        total = 0.0
+        for m in symbols:
+            total += (num[m] / den) * values[m]
+    except KeyError as exc:
+        raise UnassignedSymbolError(f"unassigned symbol {exc.args[0]}") from None
     return total
 
 
@@ -267,7 +276,9 @@ def formal_to_json_obj(x):
 
 
 #: The coefficient strings formal_to_json_obj writes; any other string is
-#: parsed by Fraction, so the decoder accepts exactly what Fraction(str) does.
+#: parsed by Fraction, so the decoder accepts what Fraction(str) does, except
+#: exponent forms, which Fraction expands in full (a 9-character "1e3000000"
+#: takes seconds).
 _CANONICAL_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -280,6 +291,8 @@ def _ratio(q) -> tuple:
         if not d:
             raise ValueError(f"coefficient {q!r} has a zero denominator")
         return int(p), d
+    if isinstance(q, str) and ("e" in q or "E" in q):
+        raise ValueError(f"coefficient {q!r}: exponent forms are not accepted")
     try:
         q = Fraction(q)
     except (ZeroDivisionError, OverflowError) as exc:

@@ -401,8 +401,13 @@ def stability_check(
     """Recompute the operator image and verify it satisfies both recurrences;
     for H3 also run the shift identity at every in-bounds p-power shape.
 
-    The input table is expected to pass check_maass already.
+    The input table is expected to pass check_maass already.  An image bound
+    below 4 raises ValueError: no index there has u >= 1 or n > 1, so the
+    check would pass having checked nothing.
     """
+    bound = table.k_max // op.norm_growth
+    if bound < 4:
+        raise ValueError(f"{op.kind} image bound {bound} is below 4: no index to check")
     image = hecke_image_table(op, table)
     maass = check_maass(image, tolerance)
     shifts = []

@@ -16,6 +16,10 @@ and the odd recurrence loses its divisor weights:
 
     a(K, u, n) = sum_{d | n} a(K/d**2, u, 1).
 
+Both hold on the lift of a source that is an eigenform at 2, with
+C(2M) = (-epsilon/2) C(M); random_maass_table is such a lift.  A source of
+ints and Fractions lifts exactly, a float source to floats.
+
 Presentation layers (the Hecke engine in particular) multiply by sqrt(K) to
 recover raw coefficients.  Entries at invalid indices, or with u < 0, read as
 the plain number 0 on both backends (formal values add to and compare with
@@ -31,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .formal import (
@@ -54,7 +59,6 @@ __all__ = [
     "check_maass",
     "dyadic_depth",
     "lift_coefficient",
-    "maass_table_from_generators",
     "random_maass_table",
     "source_coefficient",
     "table_from_json_dict",
@@ -153,24 +157,34 @@ def lift_coefficient(index, epsilon: int) -> FormalCoefficient:
         raise ValueError(f"invalid index {(K, u, n)}")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    # As K = 2**(u+1) * n**2 * odd, each quotient is exact and each (t, d)
+    # gives a distinct symbol.
+    divisors = _odd_divisors(n)
     terms = {}
     for t in range(u + 1):
         sign = (-epsilon) ** t
-        for d in _odd_divisors(n):
-            den = (1 << (t + 1)) * d * d
-            if K % den:
-                raise ArithmeticError(f"non-integral symbol index at {(K, u, n)}")
-            terms[K // den] = sign  # distinct (t, d) give distinct symbols
+        for d in divisors:
+            terms[K // ((2 << t) * d * d)] = sign
     return FormalCoefficient._from_numerators(terms)
 
 
 def build_lift_table(source: SourceForm, k_max: int) -> CoefficientTable:
-    """Lift a source form to a table over all valid indices with K <= k_max."""
+    """Lift a source form to a table over all valid indices with K <= k_max;
+    int and Fraction values lift exactly, to Fraction entries."""
+    assignment = den = None
+    if not source.is_formal:
+        values = source.values
+        if all(isinstance(v, (int, Fraction)) for v in values.values()):
+            # Linearity: lift int numerators over one denominator, one Fraction per entry.
+            den = math.lcm(*(v.denominator for v in values.values()))
+            values = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
+        assignment = Assignment(values, source.epsilon)
     entries = {}
-    assignment = None if source.is_formal else Assignment(source.values, source.epsilon)
     for idx in valid_indices(k_max):
-        expr = lift_coefficient(idx, source.epsilon)
-        entries[idx] = expr if assignment is None else evaluate(expr, assignment)
+        value = lift_coefficient(idx, source.epsilon)
+        if assignment is not None:
+            value = evaluate(value, assignment)
+        entries[idx] = value if den is None else Fraction(value, den)
     backend = "formal" if assignment is None else "numeric"
     return CoefficientTable(source.epsilon, k_max, entries, backend)
 
@@ -203,8 +217,9 @@ def source_coefficient(table: CoefficientTable, N: int):
     )
 
 
-def _odd_divisors(n: int):
-    return [d for d in range(1, n + 1, 2) if n % d == 0]
+@lru_cache(maxsize=None)
+def _odd_divisors(n: int) -> tuple:
+    return tuple(d for d in range(1, n + 1, 2) if n % d == 0)
 
 
 @dataclass
@@ -272,42 +287,22 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
     )
 
 
-def maass_table_from_generators(epsilon: int, generators: dict, k_max: int) -> CoefficientTable:
-    """Extend free values a(m, 0, 1), m = 2 mod 4, to a full Maass-space table.
-
-    Both recurrences reduce every valid index to these generators: depth u
-    comes down by the dyadic recurrence, odd content by the divisor sum.
-    Missing generators count as zero.  The result passes check_maass by
-    construction.
-    """
-    table = CoefficientTable(epsilon, k_max, {}, "numeric")
-    at = table.value_at
-    for idx in valid_indices(k_max):
-        K, u, n = idx
-        if n > 1:
-            val = sum(at(K // (d * d), u, 1) for d in _odd_divisors(n))
-        elif u >= 1:
-            val = Fraction(-3 * epsilon, 2) * at(K // 2, u - 1, 1) - Fraction(1, 2) * at(
-                K // 4, u - 2, 1
-            )
-        else:
-            val = Fraction(generators.get(K, 0))
-        table.entries[idx] = val
-    return table
-
-
 def random_maass_table(epsilon: int, seed: int, k_max: int) -> CoefficientTable:
-    """A Maass-space table with independent random rational generators.
+    """The exact lift of a random rational source that is an eigenform at 2.
 
-    Deterministic for a fixed seed; the generator at each m = 2 mod 4 is drawn
-    in ascending m.
+    The free values a(m, 0, 1) = C(m/2), m = 2 mod 4, are drawn in ascending
+    m, deterministically for a fixed seed; the even coefficients follow from
+    C(2M) = (-epsilon/2) C(M), so the table passes check_maass exactly.
     """
     rng = random.Random(seed)
-    gens = {
-        m: Fraction(rng.randint(-999, 999), rng.randint(1, 24))
+    source = {
+        m // 2: Fraction(rng.randint(-999, 999), rng.randint(1, 24))
         for m in range(2, k_max + 1, 4)
     }
-    return maass_table_from_generators(epsilon, gens, k_max)
+    half = Fraction(-epsilon, 2)
+    for N in range(2, k_max // 2 + 1, 2):
+        source[N] = half * source[N // 2]
+    return build_lift_table(SourceForm(epsilon, source), k_max)
 
 
 def table_to_json_dict(table: CoefficientTable) -> dict:

@@ -23,10 +23,10 @@ from mql.hecke import (
     verify_eigen_relations,
 )
 from mql.lift import (
+    CoefficientTable,
     SourceForm,
     build_lift_table,
     check_maass,
-    maass_table_from_generators,
     random_maass_table,
     source_coefficient,
     valid_indices,
@@ -271,7 +271,6 @@ def test_even_eigenform_equivalence():
     # deleting the dyadic recurrence from the construction must break the
     # eigenproperty: keep the odd recurrence, free all depth-u generators
     rng = random.Random(78)
-    free = {}
     entries = {}
     for idx in valid_indices(k_max):
         K, u, n = idx
@@ -283,8 +282,7 @@ def test_even_eigenform_equivalence():
                 if n % d == 0:
                     total += entries[CanonicalIndex(K // (d * d), u, 1)]
             entries[idx] = total
-    broken = maass_table_from_generators(1, {}, k_max)
-    broken.entries.update(entries)
+    broken = CoefficientTable(1, k_max, entries, "numeric")
     rep = check_maass(broken)
     ok = ok and rep.dyadic_failures and not rep.divisor_sum_failures
     deviation = 0.0

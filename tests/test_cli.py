@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mql.cli import COMMAND_OPERATIONS, build_parser, main
-from mql.lift import SourceForm, build_lift_table, table_to_json_dict
+from mql.lift import SourceForm, build_lift_table, table_to_json_dict, valid_indices
 
 
 def run_cli(args):
@@ -160,6 +160,12 @@ def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
         (["stability", "--kmax", "64", "--config", "{tolerance_str}"], "'tolerance'"),
         (["stability", "--kmax", "64", "--config", "{seed_str}"], "'seed'"),
         (["stability", "--kmax", "64", "--config", "{kinds_str}"], "'kinds'"),
+        # a stability check that would cover no index, an n_max below 1
+        (["stability", "--kmax", "8"], "H2 image bound 2"),
+        (["synth", "--config", "{nmax_neg}"], "'n_max'"),
+        (["synth", "--config", "{nmax_zero}"], "'n_max'"),
+        # an exponent form, which Fraction(str) would expand in full
+        (["check-maass", "--table", "{exponent}"], "(8, 2, 1)"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -171,12 +177,16 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "tolerance_str": {"tolerance": "x"},
         "seed_str": {"seed": "abc"},
         "kinds_str": {"kinds": "H2"},
+        "nmax_neg": {"n_max": -5},
+        "nmax_zero": {"n_max": 0},
     }
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]
     obj["entries"] = obj["entries"][:-40]
     configs["truncated"] = obj
-    for name, text in (("zero_den", "1/0"), ("zero_den_spaced", " 1/0")):
+    for name, text in (
+        ("zero_den", "1/0"), ("zero_den_spaced", " 1/0"), ("exponent", "1e3000000")
+    ):
         formal = table_to_json_dict(build_lift_table(SourceForm(1), 16))
         for row in formal["entries"]:
             if (row["K"], row["u"], row["n"]) == (8, 2, 1):
@@ -244,6 +254,28 @@ def test_satake_and_stability_and_adjoint(tmp_path, capsys):
 
     assert run_cli(["adjoint"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
+
+
+def test_non_finite_report_values_are_null(tmp_path):
+    # finite entries whose raw coefficients overflow: the fitted ratios are
+    # not finite, so the report fails and must still be strict JSON
+    rows = [
+        {"K": i.K, "u": i.u, "n": i.n, "value": 1e307 / i.K ** 0.5}
+        for i in valid_indices(256)
+    ]
+    table = tmp_path / "huge.json"
+    table.write_text(json.dumps(
+        {"epsilon": 1, "k_max": 256, "backend": "numeric", "entries": rows}
+    ))
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    out = tmp_path / "report.json"
+    assert run_cli(["hecke", "--table", str(table), "--primes", "3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text(), parse_constant=reject)["reports"][0]
+    assert report["pass"] is False
+    assert report["max_rel_err"] is None
 
 
 def test_hecke_rejects_formal_table(tmp_path, capsys):

@@ -185,8 +185,15 @@ scalars = st.one_of(
 unit_floats = st.floats(-1e3, 1e3, allow_nan=False)
 
 
-@given(ref_terms, ref_terms, scalars, signs, st.lists(unit_floats, min_size=1, max_size=8))
-def test_matches_fraction_reference(a, b, s, eps, pool):
+exact_values = st.fractions(min_value=-1000, max_value=1000, max_denominator=60)
+
+
+@given(
+    ref_terms, ref_terms, scalars, signs,
+    st.lists(unit_floats, min_size=1, max_size=8),
+    st.lists(exact_values, min_size=1, max_size=8),
+)
+def test_matches_fraction_reference(a, b, s, eps, pool, exact_pool):
     x, y = FormalCoefficient(a), FormalCoefficient(b)
     assert dict(x.items()) == _clean(a)
     assert dict((x + y).items()) == _clean({m: a.get(m, 0) + b.get(m, 0) for m in a | b})
@@ -199,6 +206,10 @@ def test_matches_fraction_reference(a, b, s, eps, pool):
     for m, q in sorted(_clean(a).items()):
         expected += float(q) * values[m]
     assert evaluate(x, Assignment(values, eps)) == expected
+    exact = {m: exact_pool[m % len(exact_pool)] for m in values}
+    got = evaluate(x, Assignment(exact, eps))
+    assert isinstance(got, (int, Fraction))
+    assert got == sum(q * exact[m] for m, q in _clean(a).items())
     obj = formal_to_json_obj(x)
     assert obj == {str(m): str(q) for m, q in sorted(_clean(a).items())}
     assert formal_from_json_obj(obj) == x

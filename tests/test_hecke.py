@@ -25,7 +25,6 @@ from mql.lift import (
     SourceForm,
     TableBoundsError,
     build_lift_table,
-    maass_table_from_generators,
     random_maass_table,
 )
 from mql.quaternion import (
@@ -305,7 +304,7 @@ def test_extract_lambda_known_values(eigen_table):
 
 
 def test_extract_lambda_errors(maass_table):
-    zero = maass_table_from_generators(1, {}, 64)
+    zero = build_lift_table(SourceForm(1, dict.fromkeys(range(1, 33), 0)), 64)
     with pytest.raises(NoUsableIndexError):
         extract_lambda(zero, 3)
     with pytest.raises(InconsistentRatiosError):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mql.formal import Assignment, FormalCoefficient, evaluate, reduce_eigen2
 from mql.lift import (
@@ -14,7 +15,6 @@ from mql.lift import (
     check_maass,
     dyadic_depth,
     lift_coefficient,
-    maass_table_from_generators,
     random_maass_table,
     source_coefficient,
     table_from_json_dict,
@@ -192,7 +192,11 @@ def test_check_maass_flags_nan_entry():
 # ------------------------------------------------- Maass-space constructions
 
 def test_generator_extension_example():
-    t = maass_table_from_generators(-1, {2: 1}, 8)
+    # eps = -1 and C(1) = 1 give C(2) = (-eps/2) C(1) = 1/2, so the exact
+    # lift reads a(4, 1, 1) = C(2) + C(1) = 3/2
+    source = {1: 1, 2: Fraction(1, 2), 3: 0, 4: Fraction(1, 4)}
+    t = build_lift_table(SourceForm(-1, source), 8)
+    assert all(type(v) is Fraction for v in t.entries.values())
     assert t.value_at(4, 1, 1) == Fraction(3, 2)
     assert t.value_at(2, 0, 1) == 1
 
@@ -226,11 +230,15 @@ def test_lift_is_linear():
         assert float(tc.value_at(*idx)) == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
-def test_reconstruction_from_extracted_coefficients():
-    # the reversed telescoping: extracted source coefficients rebuild every
-    # table entry through the lift sum, exactly, on any Maass-space table
-    t = random_maass_table(1, seed=30, k_max=512)
-    cvals = {N: source_coefficient(t, N) for N in range(1, 257)}
+@settings(deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, -1]), st.integers(2, 1024))
+def test_reconstruction_from_extracted_coefficients(seed, eps, k_max):
+    # lift(invert(T)) == T exactly on a Maass-space table: the extracted
+    # source coefficients rebuild every entry through the exact lift, and
+    # through the lift sum written out by hand
+    t = random_maass_table(eps, seed=seed, k_max=k_max)
+    cvals = {N: source_coefficient(t, N) for N in range(1, k_max // 2 + 1)}
+    assert build_lift_table(SourceForm(eps, cvals), k_max).entries == t.entries
     for idx in t.indices():
         K, u, n = idx
         total = Fraction(0)
