@@ -7,7 +7,7 @@ class enumeration, and verifies the spectral consequences: eigenvalue
 relations, Satake parameters, and the failure of the naive temperedness bound.
 """
 
-from .formal import Assignment, FormalCoefficient, combine, evaluate, reduce_eigen2
+from .formal import FormalCoefficient, combine, evaluate, reduce_eigen2
 from .hecke import (
     HeckeOperator,
     adjoint_matrix_identities,

@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-Every engine operation is reachable from a subcommand, all structured input
-and output is JSON (CSV for the wide Satake table), and a run is reproducible
-byte for byte: identical configuration and seed produce identical artifacts.
-Exit status is 0 exactly when all checks in scope pass; malformed input exits
-nonzero with a diagnostic naming the offending record.
+Every public engine operation except the library-only
+``quaternion.exact_divide`` is reachable from a subcommand, all structured
+input and output is JSON (CSV for the wide Satake table), and a run is
+reproducible byte for byte: identical configuration and seed produce
+identical artifacts.  Exit status is 0 exactly when all checks in scope pass;
+malformed input exits nonzero with a diagnostic naming the offending record.
 
 Every subcommand takes ``--out`` and, of the shared options, only those its
 handler reads (any other flag exits 2 naming it): --config --kmax --epsilon
@@ -60,62 +61,7 @@ from .spectral import (
     verify_cn_relations,
 )
 
-__all__ = ["COMMAND_OPERATIONS", "main"]
-
-#: Engine operations each subcommand exercises; the test suite checks that
-#: every public operation appears at least once.
-COMMAND_OPERATIONS = {
-    "decompose": (
-        "quaternion.parse_quaternion",
-        "quaternion.decompose",
-        "quaternion.is_valid_index",
-    ),
-    "cp-enum": (
-        "quaternion.unit_class_reps",
-        "quaternion.elements_of_norm",
-        "quaternion.units",
-        "quaternion.divisibility_counts",
-        "quaternion.exact_divide",
-    ),
-    "lift": (
-        "lift.build_lift_table",
-        "lift.lift_coefficient",
-        "lift.valid_indices",
-        "formal.evaluate",
-        "formal.combine",
-        "lift.table_to_json_dict",
-    ),
-    "invert": (
-        "lift.source_coefficient",
-        "lift.dyadic_depth",
-        "lift.table_from_json_dict",
-        "formal.formal_to_json_obj",
-        "formal.formal_from_json_obj",
-    ),
-    "check-maass": ("lift.check_maass", "formal.reduce_eigen2", "formal.rel_err"),
-    "hecke": (
-        "hecke.apply",
-        "hecke.extract_lambda",
-        "hecke.verify_eigen_relations",
-        "quaternion.representative",
-        "quaternion.three_squares",
-    ),
-    "synth": ("spectral.synth_eigenform",),
-    "satake": (
-        "spectral.satake_from_lambda",
-        "spectral.ramanujan_violation_check",
-        "spectral.sigma_descriptor",
-        "spectral.verify_cn_relations",
-        "spectral.satake_csv_rows",
-    ),
-    "stability": (
-        "lift.random_maass_table",
-        "hecke.stability_check",
-        "hecke.hecke_image_table",
-        "hecke.h3_sum_identity_residual",
-    ),
-    "adjoint": ("hecke.adjoint_matrix_identities",),
-}
+__all__ = ["main"]
 
 
 class CliError(Exception):
@@ -161,7 +107,13 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """A JSON number (not a bool) whose float value is finite."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 #: What each config key the handlers read must hold: a description and a test.
@@ -171,8 +123,8 @@ _CONFIG_TYPES = {
     "seed": ("an integer", _is_int),
     "prime": ("an integer", _is_int),
     "epsilon": ("an integer", _is_int),
-    "tolerance": ("a number", _is_number),
-    "r": ("a number", _is_number),
+    "tolerance": ("a finite number", _is_number),
+    "r": ("a finite number", _is_number),
     "kinds": (
         "a list of operator names",
         lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
@@ -230,17 +182,16 @@ def _parse_primes(items, what, *, allow_two=False) -> list:
 
 
 def _config_lambdas(cfg) -> dict:
-    """The config's 'lambdas' map, checked to have odd-prime keys and number values."""
+    """The config's 'lambdas' map, checked to have odd-prime keys and finite number values."""
     raw = cfg.get("lambdas", {})
     if not isinstance(raw, dict):
         raise CliError("config 'lambdas' must be a JSON object")
     lams = {}
     for key, value in raw.items():
         (p,) = _parse_primes([key], "lambdas key")
-        try:
-            lams[p] = float(value)
-        except (TypeError, ValueError):
-            raise CliError(f"lambdas[{key!r}] = {value!r} is not a number") from None
+        if not _is_number(value):
+            raise CliError(f"lambdas[{key!r}] = {value!r} is not a finite number")
+        lams[p] = float(value)
     return lams
 
 
@@ -255,7 +206,7 @@ def _lambdas_from_config(cfg, n_max) -> dict:
         if not _is_int(seed):
             raise CliError(f"config random_lambdas 'seed' = {seed!r} is not an integer")
         if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))):
-            raise CliError(f"config random_lambdas 'range' = {bounds!r} is not two numbers")
+            raise CliError(f"config random_lambdas 'range' = {bounds!r} is not two finite numbers")
         rng = _random.Random(seed)
         lo, hi = bounds
         p = 3
@@ -321,9 +272,15 @@ def _cmd_cp_enum(args) -> int:
 def _read_source(path) -> SourceForm:
     obj = _load_json(path, "source form")
     try:
-        values = {int(k): float(v) for k, v in obj["values"].items()}
-        return SourceForm(int(obj["epsilon"]), values)
-    except (KeyError, TypeError, ValueError) as exc:
+        if not _is_int(obj["epsilon"]):
+            raise ValueError(f"'epsilon' = {obj['epsilon']!r} is not an integer")
+        values = {}
+        for k, v in obj["values"].items():
+            if not _is_number(v):
+                raise ValueError(f"values[{k!r}] = {v!r} is not a finite number")
+            values[int(k)] = float(v)
+        return SourceForm(obj["epsilon"], values)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad source form file {path}: {exc}") from None
 
 

@@ -8,10 +8,10 @@ identities in the lift layer exact.  It is stored as integer numerators
 terms dropped and den coprime to the numerators as a whole.  Arithmetic,
 evaluation, the even-symbol reduction and both JSON codecs run on these ints.
 Fractions appear only at the public boundary: the constructor takes any
-rationals, ``items()`` and ``coefficient()`` return Fractions, a scale factor
-may be one, and a JSON coefficient that is not a canonical ``p`` or ``p/q``
-string is parsed by ``Fraction``.  Every value the engine produces has a
-power-of-two denominator; other denominators (a ``1/3`` in a file) work too.
+rationals, ``items()`` returns Fractions, a scale factor may be one, and a
+JSON coefficient that is not a canonical ``p`` or ``p/q`` string is parsed by
+``Fraction``.  Every value the engine produces has a power-of-two
+denominator; other denominators (a ``1/3`` in a file) work too.
 
 Formal values follow the number protocol of floats and Fractions (``x + 0``,
 ``s * x`` for an int or Fraction s, ``x == 0`` iff x has no terms), so the
@@ -27,11 +27,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Assignment",
     "FormalCoefficient",
     "UnassignedSymbolError",
     "combine",
@@ -92,14 +90,8 @@ class FormalCoefficient:
         """Terms as (M, Fraction coefficient) pairs in ascending M."""
         return tuple((m, Fraction(self._num[m], self._den)) for m in sorted(self._num))
 
-    def coefficient(self, m: int) -> Fraction:
-        return Fraction(self._num.get(m, 0), self._den)
-
     def is_zero(self) -> bool:
         return not self._num
-
-    def max_symbol(self) -> int:
-        return max(self._num) if self._num else 0
 
     def __add__(self, other):
         if not isinstance(other, FormalCoefficient):
@@ -182,18 +174,6 @@ def _sum_ratios(triples):
     return num, den
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Values for symbols (floats, ints or Fractions) and the even-place sign."""
-
-    values: dict
-    epsilon: int = 1
-
-    def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
-
-
 def combine(a, b, s, t):
     """s*a + t*b for values of either backend, s and t taken as exact
     rationals (an int already is one, and scales a float cheaply)."""
@@ -202,11 +182,12 @@ def combine(a, b, s, t):
     return s * a + t * b
 
 
-def evaluate(x: FormalCoefficient, assignment: Assignment):
-    """Substitute the assignment into x: the exact sum, an int or Fraction, if
-    every value is an int or Fraction; else the float sum of (n / den) * value
-    in ascending M, where int true division makes each term float(q) * value."""
-    num, den, values = x._num, x._den, assignment.values
+def evaluate(x: FormalCoefficient, values: dict):
+    """Substitute values {M: value} for the symbols of x: the exact sum, an int
+    or Fraction, if every value is an int or Fraction; else the float sum of
+    (n / den) * value in ascending M, where int true division makes each term
+    float(q) * value."""
+    num, den = x._num, x._den
     symbols = sorted(num)
     try:
         total = 0

@@ -200,37 +200,35 @@ def hecke_image_table(op: HeckeOperator, table: CoefficientTable) -> Coefficient
     return CoefficientTable(table.epsilon, img_k_max, entries, "numeric")
 
 
-def _usable_bases(table, growth, floor_frac=1e-9):
-    """Indices whose raw coefficient is usably far from zero and whose operator
-    closure stays in bounds, in canonical order."""
+def _usable_bases(table, growth):
+    """Indices whose operator closure stays in bounds and whose raw coefficient
+    exceeds 1e-9 * max(1, largest such magnitude), in canonical order."""
     cands = [i for i in table.indices() if i.K * growth <= table.k_max]
     if not cands:
         return []
     raws = {i: _raw(table, i) for i in cands}
     scale = max(abs(v) for v in raws.values())
-    cutoff = floor_frac * max(1.0, scale)
+    cutoff = 1e-9 * max(1.0, scale)
     return [(i, raws[i]) for i in cands if abs(raws[i]) > cutoff]
 
 
-def extract_lambda(
-    table: CoefficientTable, p: int, tolerance: float = 1e-9, min_bases: int = 3
-) -> float:
+def extract_lambda(table: CoefficientTable, p: int, tolerance: float = 1e-9) -> float:
     """The odd-prime eigenvalue read off the table along the p-power ladder.
 
     At a base index (K, 0, 1) with nonzero coefficient the estimate is
     (A(pK,0,1) + A(K/p,0,1)) / A(K,0,1), the second term dropping when p does
-    not divide K.  Estimates from at least ``min_bases`` bases must agree
-    within the tolerance.
+    not divide K.  The estimates from the first eight usable bases, of which
+    there must be at least three, must agree within the tolerance.
     """
     usable = [
         (i, v)
         for i, v in _usable_bases(table, p)
         if i.u == 0 and i.n == 1
     ]
-    if len(usable) < min_bases:
+    if len(usable) < 3:
         raise NoUsableIndexError(f"no usable index for prime {p}")
     ests = []
-    for idx, denom in usable[: max(min_bases, 8)]:
+    for idx, denom in usable[:8]:
         K = idx.K
         num = _raw(table, CanonicalIndex(p * K, 0, 1))
         if K % p == 0:
@@ -282,15 +280,11 @@ def _fit_ratio(values):
     return mu, err
 
 
-def verify_eigen_relations(
-    table: CoefficientTable,
-    primes,
-    tolerance: float = 1e-8,
-    min_indices: int = 10,
-) -> list:
+def verify_eigen_relations(table: CoefficientTable, primes, tolerance: float = 1e-8) -> list:
     """Fit operator eigenvalues as output/input ratios and check the relations
     mu2 = mu4 = p(p+1) lambda_p and mu3 = p^2 lambda_p^2 + p^3 + p at each odd
-    prime, and the scalar -3 sqrt(2) epsilon at the even place.
+    prime, and the scalar -3 sqrt(2) epsilon at the even place.  Each ratio is
+    fit on the first 12 usable indices, of which there must be at least 10.
 
     On a non-eigen table the ratios fail to be constant and the report flags
     it rather than raising.
@@ -299,9 +293,9 @@ def verify_eigen_relations(
     for p in sorted(primes):
         if p == 2:
             usable = _usable_bases(table, 2)
-            if len(usable) < min_indices:
+            if len(usable) < 10:
                 raise NoUsableIndexError("not enough usable indices at prime 2")
-            sel = usable[: max(min_indices, 12)]
+            sel = usable[:12]
             op = HeckeOperator("T2", 2)
             ratios = [apply(op, table, i) / v for i, v in sel]
             mu, err = _fit_ratio(ratios)
@@ -317,11 +311,9 @@ def verify_eigen_relations(
             )
             continue
         usable = _usable_bases(table, p * p)
-        if len(usable) < min_indices:
-            raise NoUsableIndexError(
-                f"only {len(usable)} usable indices at prime {p}, need {min_indices}"
-            )
-        sel = usable[: max(min_indices, 12)]
+        if len(usable) < 10:
+            raise NoUsableIndexError(f"only {len(usable)} usable indices at prime {p}, need 10")
+        sel = usable[:12]
         mu = {}
         max_err = 0.0
         for kind in ("H2", "H3", "H4"):
@@ -350,12 +342,10 @@ def verify_eigen_relations(
     return reports
 
 
-def h3_sum_identity_residual(
-    table: CoefficientTable, p: int, m: int, l: int, k0: int = 2
-) -> float:
-    """Relative residual of the H3 shift identity at the index (p**m k0, 0, p**l):
+def h3_sum_identity_residual(table: CoefficientTable, p: int, m: int, l: int) -> float:
+    """Relative residual of the H3 shift identity at the index (2 p**m, 0, p**l):
 
-        H3 F(p^m k0, 0, p^l) = sum_{i=0..l} p^i H3 F(p^(m-2i) k0, 0, 1)
+        H3 F(2 p^m, 0, p^l) = sum_{i=0..l} p^i H3 F(2 p^(m-2i), 0, 1)
 
     which expresses that the operator image still satisfies the odd divisor-sum
     recurrence along the p-power tower.  Requires m >= 2l and in-bounds data.
@@ -363,10 +353,8 @@ def h3_sum_identity_residual(
     if m < 2 * l:
         raise ValueError("need m >= 2l for every referenced index to exist")
     op = HeckeOperator("H3", p)
-    lhs = apply(op, table, (p ** m * k0, 0, p ** l))
-    rhs = sum(
-        (p ** i) * apply(op, table, (p ** (m - 2 * i) * k0, 0, 1)) for i in range(l + 1)
-    )
+    lhs = apply(op, table, (2 * p ** m, 0, p ** l))
+    rhs = sum((p ** i) * apply(op, table, (2 * p ** (m - 2 * i), 0, 1)) for i in range(l + 1))
     return rel_err(lhs, rhs)
 
 

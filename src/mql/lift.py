@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .formal import (
-    Assignment,
     FormalCoefficient,
     combine,
     evaluate,
@@ -83,10 +82,6 @@ class SourceForm:
     def __post_init__(self):
         if self.epsilon not in (1, -1):
             raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
-
-    @property
-    def is_formal(self) -> bool:
-        return self.values is None
 
 
 @dataclass
@@ -171,21 +166,18 @@ def lift_coefficient(index, epsilon: int) -> FormalCoefficient:
 def build_lift_table(source: SourceForm, k_max: int) -> CoefficientTable:
     """Lift a source form to a table over all valid indices with K <= k_max;
     int and Fraction values lift exactly, to Fraction entries."""
-    assignment = den = None
-    if not source.is_formal:
-        values = source.values
-        if all(isinstance(v, (int, Fraction)) for v in values.values()):
-            # Linearity: lift int numerators over one denominator, one Fraction per entry.
-            den = math.lcm(*(v.denominator for v in values.values()))
-            values = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
-        assignment = Assignment(values, source.epsilon)
+    values, den = source.values, None
+    if values is not None and all(isinstance(v, (int, Fraction)) for v in values.values()):
+        # Linearity: lift int numerators over one denominator, one Fraction per entry.
+        den = math.lcm(*(v.denominator for v in values.values()))
+        values = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
     entries = {}
     for idx in valid_indices(k_max):
         value = lift_coefficient(idx, source.epsilon)
-        if assignment is not None:
-            value = evaluate(value, assignment)
+        if values is not None:
+            value = evaluate(value, values)
         entries[idx] = value if den is None else Fraction(value, den)
-    backend = "formal" if assignment is None else "numeric"
+    backend = "formal" if values is None else "numeric"
     return CoefficientTable(source.epsilon, k_max, entries, backend)
 
 
@@ -329,17 +321,25 @@ def _finite_float(value) -> float:
 def table_from_json_dict(obj: dict) -> CoefficientTable:
     """Inverse of table_to_json_dict.
 
-    The rows must be exactly the valid indices with K <= k_max, each once.  A
-    row with an invalid index, K beyond k_max, a repeated index, a non-finite
-    numeric value or a formal value that is not a JSON object raises
-    ValueError naming the row's (K, u, n); so does the first missing index.
+    k_max, epsilon and each row's K, u and n must be JSON integers; the first
+    that is not raises ValueError naming its field or row.  The rows must be
+    exactly the valid indices with K <= k_max, each once.  A row with an
+    invalid index, K beyond k_max, a repeated index, a non-finite numeric value
+    or a formal value that is not a JSON object raises ValueError naming the
+    row's (K, u, n); so does the first missing index.
     """
     backend = obj["backend"]
-    k_max = int(obj["k_max"])
+    for field in ("k_max", "epsilon"):
+        if type(obj[field]) is not int:  # a bool is not an int here
+            raise ValueError(f"{field!r} = {obj[field]!r} is not an integer")
+    k_max = obj["k_max"]
     decode = formal_from_json_obj if backend == "formal" else _finite_float
     entries = {}
-    for row in obj["entries"]:
-        idx = CanonicalIndex(int(row["K"]), int(row["u"]), int(row["n"]))
+    for pos, row in enumerate(obj["entries"]):
+        K, u, n = row["K"], row["u"], row["n"]
+        if not (type(K) is type(u) is type(n) is int):
+            raise ValueError(f"entries[{pos}]: K, u, n = {K!r}, {u!r}, {n!r} are not all integers")
+        idx = CanonicalIndex(K, u, n)
         if not is_valid_index(*idx):
             raise ValueError(f"invalid index {tuple(idx)} in table file")
         if idx.K > k_max:
@@ -357,4 +357,4 @@ def table_from_json_dict(obj: dict) -> CoefficientTable:
     for idx in valid_indices(min(k_max, top + 4)):
         if idx not in entries:
             raise ValueError(f"missing row {tuple(idx)} of a table with k_max={k_max}")
-    return CoefficientTable(int(obj["epsilon"]), k_max, entries, backend)
+    return CoefficientTable(obj["epsilon"], k_max, entries, backend)

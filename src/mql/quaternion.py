@@ -279,13 +279,6 @@ def is_valid_index(K: int, u: int, n: int) -> bool:
     return (K // den) % 4 == 2
 
 
-def index_cofactor(K: int, u: int, n: int) -> int:
-    """The integer m = K / (2**u * n**2) of a valid index."""
-    if not is_valid_index(K, u, n):
-        raise ValueError(f"invalid index {(K, u, n)}")
-    return K // ((1 << u) * n * n)
-
-
 @lru_cache(maxsize=None)
 def elements_of_norm(m: int) -> tuple:
     """All order elements of reduced norm m, sorted by doubled coordinates."""

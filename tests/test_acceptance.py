@@ -166,7 +166,7 @@ def test_lambda_recovery(eigen_setup):
     table, lams = eigen_setup
     ok = True
     for p in (3, 5, 7, 11, 13):
-        lam = extract_lambda(table, p, tolerance=1e-9, min_bases=3)
+        lam = extract_lambda(table, p, tolerance=1e-9)
         ok = ok and abs(lam - lams[p]) <= 1e-8
     report(ok, "eigenvalue recovery from >= 3 mutually consistent (1e-9) base "
                "indices, each within 1e-8 of the input")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mql.cli import COMMAND_OPERATIONS, build_parser, main
+from mql.cli import build_parser, main
 from mql.lift import SourceForm, build_lift_table, table_to_json_dict, valid_indices
 
 
@@ -130,6 +130,29 @@ def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
 
 
 @pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("k_max", float("inf"), "'k_max' = inf"),
+        ("k_max", True, "'k_max' = True"),
+        ("epsilon", 1.5, "'epsilon' = 1.5"),
+        ("K", float("inf"), "entries[3]"),
+        ("u", 1.0, "entries[3]"),
+        ("n", True, "entries[3]"),
+    ],
+)
+def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value, named):
+    table = tmp_path / "table.json"
+    assert run_cli(["lift", "--backend", "formal", "--kmax", "16", "--out", str(table)]) == 0
+    obj = json.loads(table.read_text())
+    (obj["entries"][3] if field in ("K", "u", "n") else obj)[field] = value
+    table.write_text(json.dumps(obj))
+    for command in ("check-maass", "invert"):
+        capsys.readouterr()
+        assert run_cli([command, "--table", str(table)]) == 2
+        assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, named",
     [
         (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--prime", "4",
@@ -166,6 +189,14 @@ def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
         (["synth", "--config", "{nmax_zero}"], "'n_max'"),
         # an exponent form, which Fraction(str) would expand in full
         (["check-maass", "--table", "{exponent}"], "(8, 2, 1)"),
+        # numbers that are not finite JSON numbers
+        (["synth", "--config", "{range_nan}"], "'range'"),
+        (["satake", "--config", "{r_nan}"], "'r'"),
+        (["satake", "--config", "{lambda_true}"], "lambdas['3']"),
+        (["satake", "--config", "{lambda_nan_str}"], "lambdas['3']"),
+        (["lift", "--backend", "numeric", "--source", "{source_nan_str}"], "values['2']"),
+        (["lift", "--backend", "numeric", "--source", "{source_true}"], "values['2']"),
+        (["lift", "--backend", "numeric", "--source", "{source_eps}"], "'epsilon' = 1.5"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -179,6 +210,13 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "kinds_str": {"kinds": "H2"},
         "nmax_neg": {"n_max": -5},
         "nmax_zero": {"n_max": 0},
+        "range_nan": {"n_max": 16, "random_lambdas": {"range": [float("nan"), 1.0]}},
+        "r_nan": {"lambdas": {"3": 1.5}, "r": float("nan")},
+        "lambda_true": {"lambdas": {"3": True}},
+        "lambda_nan_str": {"lambdas": {"3": "nan"}},
+        "source_nan_str": {"epsilon": 1, "values": {"1": 1.0, "2": "nan"}},
+        "source_true": {"epsilon": 1, "values": {"1": 1.0, "2": True}},
+        "source_eps": {"epsilon": 1.5, "values": {"1": 1.0, "2": -0.5}},
     }
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]
@@ -315,43 +353,66 @@ def test_readme_command_lines_parse():
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
-def test_every_public_operation_reachable():
-    covered = set()
-    for ops in COMMAND_OPERATIONS.values():
-        covered.update(ops)
+#: Public operations no subcommand calls: helpers the library offers its own callers.
+LIBRARY_ONLY = {"quaternion.exact_divide"}
+
+#: Every subcommand and mode once; {d} is a scratch directory holding {d}/cfg.json.
+REACHABILITY_RUNS = [
+    "decompose 2ij --out {d}/decompose.jsonl",
+    "cp-enum 5 --divisibility 1-ij --out {d}/cp5.json",
+    "synth --config {d}/cfg.json --out {d}/source.json",
+    "lift --config {d}/cfg.json --backend numeric --source {d}/source.json --out {d}/table.json",
+    "lift --config {d}/cfg.json --backend formal --out {d}/formal.json",
+    "invert --table {d}/table.json --nmax 32 --out {d}/cvalues.json",
+    "invert --table {d}/formal.json --out {d}/formal_cvalues.json",
+    "check-maass --table {d}/table.json --out {d}/maass.json",
+    "check-maass --table {d}/formal.json --out {d}/formal_maass.json",
+    "hecke --table {d}/table.json --primes 2,3 --out {d}/eigen.json",
+    "hecke --table {d}/table.json --mode lambda --primes 3 --out {d}/lambda.json",
+    "hecke --table {d}/table.json --mode apply --kind H2 --index 18,0,1 --out {d}/apply.json",
+    "satake --config {d}/cfg.json --table {d}/table.json --out-csv {d}/satake.csv "
+    "--out {d}/satake.json",
+    "stability --config {d}/cfg.json --out {d}/stability.json",
+    "adjoint --out {d}/adjoint.json",
+]
+
+
+def _recording(fn, name, called):
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_every_public_operation_reachable(tmp_path, monkeypatch):
+    """Trace every subcommand: each public engine function but LIBRARY_ONLY is called."""
+    import sys
+
     import mql.formal, mql.hecke, mql.lift, mql.quaternion, mql.spectral
+    from cli_driver import SUITE_CONFIG
 
-    skip_types = {
-        # data types, reports and constants: not operations
-        "Assignment", "FormalCoefficient", "UnassignedSymbolError",
-        "CanonicalIndex", "DivisibilityCounts", "HurwitzQuaternion", "UNIFORMIZER",
-        "CoefficientTable", "MaassCheckReport", "SourceForm", "TableBoundsError",
-        "AdjointReport", "EigenReport", "HeckeOperator", "InconsistentRatiosError",
-        "NoUsableIndexError", "StabilityReport", "LocalDescriptor",
-        "MissingLambdaError", "RAMANUJAN_BOUND", "SatakeParams", "SyntheticEigenform",
-        "MODULUS_READING_NOTE",
-    }
-    for mod, name in (
-        (mql.quaternion, "quaternion"),
-        (mql.formal, "formal"),
-        (mql.lift, "lift"),
-        (mql.hecke, "hecke"),
-        (mql.spectral, "spectral"),
-    ):
-        for op in mod.__all__:
-            if op in skip_types:
-                continue
-            assert f"{name}.{op}" in covered, f"operation {name}.{op} not reachable"
-
-
-def test_cli_suite_byte_deterministic(tmp_path):
-    from cli_driver import run_full_suite
-
-    a = run_full_suite(str(tmp_path / "a"), "0")
-    b = run_full_suite(str(tmp_path / "b"), "424242")
-    assert a.keys() == b.keys()
-    for name in a:
-        assert a[name] == b[name], f"artifact {name} differs between runs"
+    q = mql.quaternion
+    for cached in (q.elements_of_norm, q.unit_class_reps, q.three_squares):
+        cached.cache_clear()  # a cache hit hides the calls behind it
+    namespaces = [m for name, m in sys.modules.items() if name.split(".")[0] == "mql"]
+    operations, called = set(), set()
+    for mod in (mql.quaternion, mql.formal, mql.lift, mql.hecke, mql.spectral):
+        for attr in mod.__all__:
+            fn = getattr(mod, attr)
+            if isinstance(fn, type) or not callable(fn):
+                continue  # data types, reports and constants are not operations
+            name = f"{mod.__name__[4:]}.{attr}"
+            operations.add(name)
+            wrapper = _recording(fn, name, called)
+            for ns in namespaces:
+                for key, value in list(vars(ns).items()):
+                    if value is fn:
+                        monkeypatch.setattr(ns, key, wrapper)
+    (tmp_path / "cfg.json").write_text(json.dumps(SUITE_CONFIG))
+    for line in REACHABILITY_RUNS:
+        assert main(shlex.split(line.format(d=shlex.quote(str(tmp_path))))) == 0, line
+    assert operations - called == LIBRARY_ONLY
 
 
 # sha256 of each artifact of the command-line suite: a refactor must leave

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mql.formal import (
-    Assignment,
     FormalCoefficient,
     UnassignedSymbolError,
     combine,
@@ -51,27 +50,26 @@ def test_module_laws_random():
 
 
 def test_evaluate_examples():
-    assert evaluate(C(1).scale(2), Assignment({1: 0.5})) == pytest.approx(1.0)
-    assert evaluate(C(2) - C(1), Assignment({1: 1.0, 2: -0.5})) == pytest.approx(-1.5)
-    assert evaluate(FormalCoefficient.zero(), Assignment({})) == 0.0
+    assert evaluate(C(1).scale(2), {1: 0.5}) == pytest.approx(1.0)
+    assert evaluate(C(2) - C(1), {1: 1.0, 2: -0.5}) == pytest.approx(-1.5)
+    assert evaluate(FormalCoefficient.zero(), {}) == 0.0
 
 
 def test_evaluate_is_homomorphism():
     rng = random.Random(11)
     values = {m: rng.uniform(-3, 3) for m in range(1, 31)}
-    asg = Assignment(values)
     for _ in range(500):
         a, b = random_formal(rng), random_formal(rng)
         s = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
         t = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        lhs = evaluate(combine(a, b, s, t), asg)
-        rhs = float(s) * evaluate(a, asg) + float(t) * evaluate(b, asg)
+        lhs = evaluate(combine(a, b, s, t), values)
+        rhs = float(s) * evaluate(a, values) + float(t) * evaluate(b, values)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_evaluate_missing_symbol():
     with pytest.raises(UnassignedSymbolError, match="unassigned symbol 7"):
-        evaluate(C(7), Assignment({1: 1.0}))
+        evaluate(C(7), {1: 1.0})
 
 
 def test_reduce_examples():
@@ -110,8 +108,6 @@ def test_json_roundtrip_and_sorted_keys():
 def test_symbol_index_validation():
     with pytest.raises(ValueError):
         FormalCoefficient({0: Fraction(1)})
-    with pytest.raises(ValueError):
-        Assignment({}, epsilon=0)
 
 
 # ------------------------------------------------------------ number protocol
@@ -205,9 +201,9 @@ def test_matches_fraction_reference(a, b, s, eps, pool, exact_pool):
     expected = 0.0
     for m, q in sorted(_clean(a).items()):
         expected += float(q) * values[m]
-    assert evaluate(x, Assignment(values, eps)) == expected
+    assert evaluate(x, values) == expected
     exact = {m: exact_pool[m % len(exact_pool)] for m in values}
-    got = evaluate(x, Assignment(exact, eps))
+    got = evaluate(x, exact)
     assert isinstance(got, (int, Fraction))
     assert got == sum(q * exact[m] for m, q in _clean(a).items())
     obj = formal_to_json_obj(x)
@@ -243,6 +239,6 @@ def test_hot_path_builds_no_fraction(monkeypatch):
     z = s * x + 3 * y - x + 0
     assert z == z.scale(1) and z != x
     r = reduce_eigen2(z, 1)
-    evaluate(r, Assignment({3: 0.5, 5: -1.0}))
+    evaluate(r, {3: 0.5, 5: -1.0})
     assert formal_from_json_obj(formal_to_json_obj(z)) == z
     assert built == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mql.formal import Assignment, FormalCoefficient, evaluate, reduce_eigen2
+from mql.formal import FormalCoefficient, evaluate, reduce_eigen2
 from mql.lift import (
     SourceForm,
     TableBoundsError,
@@ -72,6 +72,8 @@ def test_lift_coefficient_rejects_invalid():
         lift_coefficient((4, 0, 1), 1)
     with pytest.raises(ValueError):
         lift_coefficient((2, 0, 1), 0)
+    with pytest.raises(ValueError):
+        SourceForm(0, {1: 1.0})
 
 
 def test_build_lift_table_small():
@@ -88,14 +90,13 @@ def test_lift_depends_only_on_index():
     # the table entry
     rng = random.Random(20)
     values = {m: rng.uniform(-2, 2) for m in range(1, 31)}
-    asg = Assignment(values)
     table = build_lift_table(SourceForm(1, values), 60)
     for m in (18, 36, 50):
         for q in elements_of_norm(m):
             if not q.in_dual_lattice():
                 continue
             idx, _ = decompose(q)
-            direct = evaluate(lift_coefficient(idx, 1), asg)
+            direct = evaluate(lift_coefficient(idx, 1), values)
             assert float(table.value_at(*idx)) == pytest.approx(direct, rel=1e-12)
 
 

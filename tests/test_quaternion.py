@@ -19,7 +19,6 @@ from mql.quaternion import (
     elements_of_norm,
     exact_divide,
     is_valid_index,
-    index_cofactor,
     parse_quaternion,
     representative,
     three_squares,
@@ -309,7 +308,6 @@ def test_decompose_representative_roundtrip_exhaustive():
                     beta = representative(idx)
                     got, _ = decompose(beta)
                     assert got == idx
-                    assert index_cofactor(*idx) == rem // (n * n)
                     count += 1
                 n += 2
             if rem % 2:
@@ -439,6 +437,14 @@ def dual_lattice_points(draw):
 @given(dual_lattice_points())
 def test_closed_form_index_matches_division_chain(q):
     assert _lattice_index(q.dc) == tuple(decompose(q)[0]) == division_chain_index(q)
+
+
+@given(st.integers(0, 20), st.integers(0, 500), st.integers(0, 250_000))
+def test_decompose_inverts_representative(u, h, j):
+    # a valid index is K = 2**u * n**2 * m with n odd and m = 2 mod 4
+    n, m = 2 * h + 1, 4 * j + 2
+    idx = CanonicalIndex((1 << u) * n * n * m, u, n)
+    assert decompose(representative(idx))[0] == idx
 
 
 @given(order_elements, order_elements)
