@@ -25,8 +25,9 @@ recover raw coefficients.  Entries at invalid indices, or with u < 0, read as
 the plain number 0 on both backends (formal values add to and compare with
 it); lookups beyond the table bound raise instead of zero-filling, since a
 silent truncation would corrupt eigenvalue extraction downstream.  Table
-files are checked row by row on load: a non-finite numeric value, or a formal
-value that is not a JSON object, is rejected with the row's index.
+files are checked row by row on load: a numeric value that is not a finite
+JSON number (a bool or a numeric string is not one), or a formal value that
+is not a JSON object, is rejected with the row's index.
 """
 
 from __future__ import annotations
@@ -152,6 +153,11 @@ def lift_coefficient(index, epsilon: int) -> FormalCoefficient:
         raise ValueError(f"invalid index {(K, u, n)}")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    return _lift_terms(K, u, n, epsilon)
+
+
+def _lift_terms(K: int, u: int, n: int, epsilon: int) -> FormalCoefficient:
+    """lift_coefficient without its checks, for indices and signs known valid."""
     # As K = 2**(u+1) * n**2 * odd, each quotient is exact and each (t, d)
     # gives a distinct symbol.
     divisors = _odd_divisors(n)
@@ -172,8 +178,9 @@ def build_lift_table(source: SourceForm, k_max: int) -> CoefficientTable:
         den = math.lcm(*(v.denominator for v in values.values()))
         values = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
     entries = {}
+    # SourceForm has checked epsilon, and valid_indices yields valid indices.
     for idx in valid_indices(k_max):
-        value = lift_coefficient(idx, source.epsilon)
+        value = _lift_terms(*idx, source.epsilon)
         if values is not None:
             value = evaluate(value, values)
         entries[idx] = value if den is None else Fraction(value, den)
@@ -312,7 +319,13 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
 
 
 def _finite_float(value) -> float:
-    x = float(value)
+    """A JSON number (an int or float, not a bool) as a finite float."""
+    if type(value) not in (int, float):  # a bool is not a JSON number here
+        raise ValueError(f"value {value!r} is not a JSON number")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {value!r}")
     return x
@@ -324,9 +337,10 @@ def table_from_json_dict(obj: dict) -> CoefficientTable:
     k_max, epsilon and each row's K, u and n must be JSON integers; the first
     that is not raises ValueError naming its field or row.  The rows must be
     exactly the valid indices with K <= k_max, each once.  A row with an
-    invalid index, K beyond k_max, a repeated index, a non-finite numeric value
-    or a formal value that is not a JSON object raises ValueError naming the
-    row's (K, u, n); so does the first missing index.
+    invalid index, K beyond k_max, a repeated index, a numeric value that is
+    not a finite JSON number (a bool or a string included) or a formal value
+    that is not a JSON object raises ValueError naming the row's (K, u, n);
+    so does the first missing index.
     """
     backend = obj["backend"]
     for field in ("k_max", "epsilon"):

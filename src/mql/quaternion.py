@@ -28,7 +28,13 @@ the coordinate gcd of q.
 This module also supplies the combinatorial layer behind the Hecke operators:
 enumeration of elements by reduced norm, the 24-element unit group, canonical
 representatives of the norm-p unit classes, and divisibility counts of the
-products of those representatives with a primitive element.
+products of those representatives with a primitive element.  Both the counts
+and the check that p^2 never divides a norm-p product with a primitive
+element read the 2(p + 1) representative products alone: every norm-p
+element is a representative times a unit, and a unit is invertible in the
+order, so multiplying by it changes no divisibility by an integer.
+Enumeration by norm pairs up the sums of two squares from one table, so each
+element costs a lookup rather than a search.
 
 ``HurwitzQuaternion`` is the boundary type: every public function takes and
 returns it.  Inside the package the hot loops (the Hecke operators, the
@@ -213,6 +219,14 @@ def _mul(x: tuple, y: tuple) -> tuple:
     )
 
 
+def _wrap(x: tuple) -> HurwitzQuaternion:
+    """The boundary type on doubled coordinates known to share one parity,
+    built without the constructor's call overhead."""
+    q = object.__new__(HurwitzQuaternion)
+    q.a, q.b, q.c, q.d = x
+    return q
+
+
 def _conj(x: tuple) -> tuple:
     a, b, c, d = x
     return (a, -b, -c, -d)
@@ -281,32 +295,35 @@ def is_valid_index(K: int, u: int, n: int) -> bool:
 
 @lru_cache(maxsize=None)
 def elements_of_norm(m: int) -> tuple:
-    """All order elements of reduced norm m, sorted by doubled coordinates."""
+    """All order elements of reduced norm m, sorted by doubled coordinates.
+
+    The doubled coordinates (a, b, c, d) share one parity and have
+    a^2 + b^2 + c^2 + d^2 = 4m.  One table maps each sum x^2 + y^2 <= 4m of an
+    equal-parity pair to its pairs (x, y); every (a, b) then meets its (c, d)
+    in a single lookup of the remainder.  Parity needs no check: an even pair
+    sums to 0 mod 4 and an odd pair to 2 mod 8, so the remainder of an even
+    (a, b) is a sum of even pairs only, and that of an odd one of odd pairs.
+    """
     if m < 1:
         raise ValueError("norm must be positive")
     target = 4 * m
-    out = []
-    amax = isqrt(target)
-    for a in range(-amax, amax + 1):
-        ra = target - a * a
-        bmax = isqrt(ra)
-        for b in range(-bmax, bmax + 1):
-            if (b - a) & 1:
-                continue
-            rb = ra - b * b
-            cmax = isqrt(rb)
-            for c in range(-cmax, cmax + 1):
-                if (c - a) & 1:
-                    continue
-                rc = rb - c * c
-                d = isqrt(rc)
-                if d * d != rc or (d - a) & 1:
-                    continue
-                out.append((a, b, c, d))
-                if d:
-                    out.append((a, b, c, -d))
+    r = isqrt(target)
+    pairs = {}
+    for x in range(-r, r + 1):
+        ymax = isqrt(target - x * x)
+        if (ymax - x) & 1:
+            ymax -= 1
+        for y in range(-ymax, ymax + 1, 2):
+            pairs.setdefault(x * x + y * y, []).append((x, y))
+    out = [
+        ab + cd
+        for s, abs_ in pairs.items()
+        if (cds := pairs.get(target - s))
+        for ab in abs_
+        for cd in cds
+    ]
     out.sort()
-    return tuple(HurwitzQuaternion(*x, _check=False) for x in out)
+    return tuple(map(_wrap, out))
 
 
 def units() -> tuple:
@@ -433,6 +450,18 @@ def exact_divide(x: HurwitzQuaternion, by, side: str = "left"):
     return x.divide_scalar(by)
 
 
+def _class_products(b: tuple, p: int) -> tuple:
+    """The products conj(alpha) * b and b * alpha over the norm-p class
+    representatives alpha, as two lists in representative order."""
+    reps = [al.dc for al in unit_class_reps(p)]
+    return [_mul(_conj(al), b) for al in reps], [_mul(b, al) for al in reps]
+
+
+def _divides_some(products, s: int) -> bool:
+    """True when the integer s divides some product in the order."""
+    return any(_div_scalar(x, s) is not None for x in products)
+
+
 def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
     """Count norm-p unit classes whose product with a primitive beta is
     divisible by p.
@@ -440,30 +469,30 @@ def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
     ``left`` counts classes alpha with p | conj(alpha) * beta and ``right``
     those with p | beta * alpha.  Both predicates are constant on right unit
     classes, so the counts do not depend on the chosen representatives; each
-    equals 1 exactly when p divides the norm of beta, else 0.  The square p^2
-    never divides such a product; that is enforced here and a violation raises,
-    since it would be a genuine arithmetic bug.
+    equals 1 exactly when p divides the norm of beta, else 0.
+
+    The square p^2 never divides such a product; that is enforced here and a
+    violation raises, since it would be a genuine arithmetic bug.  The check
+    reads only the 2(p + 1) class products already formed for the counts, yet
+    covers the products of beta with every norm-p element alpha, on both
+    sides.  The norm-p elements are closed under conjugation and split into
+    the classes alpha_r * v with v running over the 24 units, so
+    alpha * beta = conj(v) * (conj(alpha_r) * beta) for conj(alpha) =
+    alpha_r * v, and beta * alpha = (beta * alpha_r) * v for alpha =
+    alpha_r * v.  A unit is invertible in the order, so p^2 divides a product
+    with a unit factor exactly when it divides the product without it.
     """
     if _smallest_odd_prime_factor(p) != p:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not beta.is_primitive():
         raise ValueError(f"beta must be primitive, got {beta!r}")
-    b = beta.dc
-    reps = [al.dc for al in unit_class_reps(p)]
-    left = sum(1 for al in reps if _div_scalar(_mul(_conj(al), b), p) is not None)
-    right = sum(1 for al in reps if _div_scalar(_mul(b, al), p) is not None)
-    # p^2 | alpha*beta forces p^4 | nu(alpha*beta) = p*nu(beta), so the product
-    # sweep is only reachable when p^3 divides nu(beta).
-    if beta.norm() % (p ** 3) == 0:
-        psq = p * p
-        for al in elements_of_norm(p):
-            al = al.dc
-            if _div_scalar(_mul(al, b), psq) is not None or (
-                _div_scalar(_mul(b, al), psq) is not None
-            ):
-                raise ArithmeticError(
-                    f"p^2 divides a norm-{p} product with {beta!r}"
-                )
+    lp, rp = _class_products(beta.dc, p)
+    left = sum(1 for x in lp if _div_scalar(x, p) is not None)
+    right = sum(1 for x in rp if _div_scalar(x, p) is not None)
+    # p^2 | alpha*beta forces p^4 | nu(alpha*beta) = p*nu(beta), so a square
+    # can only divide when p^3 divides nu(beta).
+    if beta.norm() % (p ** 3) == 0 and _divides_some(lp + rp, p * p):
+        raise ArithmeticError(f"p^2 divides a norm-{p} product with {beta!r}")
     return DivisibilityCounts(left, right)
 
 

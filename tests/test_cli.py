@@ -110,6 +110,10 @@ def test_check_maass_fails_on_perturbed_table(tmp_path, numeric_table):
     [
         ("formal", 1.5),  # a formal value must be a JSON object
         ("numeric", float("nan")),
+        # a numeric value must be a finite JSON number, not a bool or a string
+        ("numeric", True),
+        ("numeric", "1.5"),
+        pytest.param("numeric", 10**400, id="numeric-int-beyond-float"),
     ],
 )
 def test_bad_table_row_exits_2_naming_row(tmp_path, capsys, backend, value):
@@ -354,7 +358,8 @@ def test_readme_command_lines_parse():
 
 
 #: Public operations no subcommand calls: helpers the library offers its own callers.
-LIBRARY_ONLY = {"quaternion.exact_divide"}
+#: build_lift_table forms its entries through the unchecked body of lift_coefficient.
+LIBRARY_ONLY = {"quaternion.exact_divide", "lift.lift_coefficient"}
 
 #: Every subcommand and mode once; {d} is a scratch directory holding {d}/cfg.json.
 REACHABILITY_RUNS = [

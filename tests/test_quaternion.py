@@ -1,6 +1,8 @@
 """Order arithmetic, lattice membership, canonical decomposition and the
 norm-p class combinatorics, checked against independent brute-force oracles."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -12,6 +14,9 @@ from mql.quaternion import (
     CanonicalIndex,
     HurwitzQuaternion,
     UNIFORMIZER,
+    _class_products,
+    _div_scalar,
+    _divides_some,
     _lattice_index,
     _mul,
     decompose,
@@ -155,11 +160,54 @@ def test_norm_counts_frozen(m, count):
     assert len(elements_of_norm(m)) == count
 
 
+def triple_loop_enumeration(m):
+    """The earlier enumeration: a search over (a, b, c) solving for d."""
+    target = 4 * m
+    out = []
+    amax = isqrt(target)
+    for a in range(-amax, amax + 1):
+        ra = target - a * a
+        bmax = isqrt(ra)
+        for b in range(-bmax, bmax + 1):
+            if (b - a) & 1:
+                continue
+            rb = ra - b * b
+            cmax = isqrt(rb)
+            for c in range(-cmax, cmax + 1):
+                if (c - a) & 1:
+                    continue
+                rc = rb - c * c
+                d = isqrt(rc)
+                if d * d != rc or (d - a) & 1:
+                    continue
+                out.append((a, b, c, d))
+                if d:
+                    out.append((a, b, c, -d))
+    out.sort()
+    return out
+
+
+# Uncached, so the sweeps below do not keep millions of elements alive.
+enumerate_norm = elements_of_norm.__wrapped__
+
+
 def test_norm_enumeration_matches_box_oracle():
     for m in range(1, 9):
         got = {q.dc for q in elements_of_norm(m)}
         assert got == box_oracle(m)
         assert list(elements_of_norm(m)) == sorted(elements_of_norm(m))
+    for m in range(1, 401):
+        assert [q.dc for q in enumerate_norm(m)] == triple_loop_enumeration(m), m
+
+
+def test_norm_enumeration_counts_and_order():
+    # Jacobi: 24 times the sum of the odd divisors of m, strictly ascending.
+    # Every norm up to 2000 takes about 90 s on a 2-vCPU Xeon VM, so the
+    # sweep covers the first 600 and the top of that range.
+    for m in [*range(1, 601), *range(1985, 2001)]:
+        dcs = [q.dc for q in enumerate_norm(m)]
+        assert len(dcs) == 24 * sum(d for d in range(1, m + 1, 2) if m % d == 0), m
+        assert all(map(operator.lt, dcs, dcs[1:])), m
 
 
 def test_units_group():
@@ -359,6 +407,23 @@ def test_divisibility_counts_rejects_non_primitive():
         divisibility_counts(HurwitzQuaternion.from_integral(0, 0, 0, 2), 3)
 
 
+def test_divisibility_counts_square_check_fails_closed(monkeypatch):
+    # the check runs on all 2(p + 1) class products when p^3 | nu(beta), and
+    # a square dividing one of them raises
+    import mql.quaternion as q
+
+    seen = []
+    monkeypatch.setattr(q, "_divides_some", lambda products, s: seen.append((len(products), s)))
+    sweep, plain = (
+        next(b for b in elements_of_norm(m) if b.is_primitive()) for m in (54, 6)
+    )
+    assert divisibility_counts(plain, 3) == (1, 1) and seen == []
+    assert divisibility_counts(sweep, 3) == (1, 1) and seen == [(8, 9)]
+    monkeypatch.setattr(q, "_divides_some", lambda products, s: True)
+    with pytest.raises(ArithmeticError, match="p\\^2 divides a norm-3 product"):
+        divisibility_counts(sweep, 3)
+
+
 def test_divisibility_counts_match_full_orbit_oracle():
     # both predicates are constant on right unit classes, so 24 * count must
     # equal the count over all norm-p elements
@@ -379,6 +444,39 @@ def test_divisibility_counts_match_full_orbit_oracle():
             assert (left_full, right_full) == (24 * counts.left, 24 * counts.right)
             expected = 1 if beta.norm() % p == 0 else 0
             assert counts == (expected, expected)
+
+
+def square_divides_some_norm_p_product(x, p):
+    """Reference: p^2 divides alpha*x or x*alpha for some alpha of norm p."""
+    psq = p * p
+    return any(
+        _div_scalar(_mul(al.dc, x), psq) is not None
+        or _div_scalar(_mul(x, al.dc), psq) is not None
+        for al in elements_of_norm(p)
+    )
+
+
+def square_divides_some_class_product(x, p):
+    lp, rp = _class_products(x, p)
+    return _divides_some(lp + rp, p * p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_square_check_on_class_products_matches_full_sweep(p):
+    # Every order element with doubled coordinates in [-3, 3], and p times
+    # each: p^2 divides a norm-p product with p*y exactly when p divides one
+    # with y, which happens for some y, so both outcomes occur.
+    box = [
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+        if a & 1 == b & 1 == c & 1 == d & 1
+    ]
+    seen = set()
+    for x in box + [tuple(p * v for v in y) for y in box]:
+        swept = square_divides_some_norm_p_product(x, p)
+        assert square_divides_some_class_product(x, p) == swept, x
+        seen.add(swept)
+    assert seen == {False, True}
 
 
 # ------------------------------------------------------------- tuple kernel
@@ -458,6 +556,12 @@ def test_norm_multiplicative_and_parity_closure(x, y):
 @given(order_elements, order_elements)
 def test_tuple_product_matches_quaternion_product(x, y):
     assert _mul(x.dc, y.dc) == (x * y).dc == hamilton_product(x.dc, y.dc)
+
+
+@given(order_elements, st.sampled_from([3, 5, 7]), st.sampled_from([1, 2, 3, 5, 7, 9, 25, 49]))
+def test_square_check_on_class_products_matches_full_sweep_wide(x, p, k):
+    x = x.scale(k).dc
+    assert square_divides_some_class_product(x, p) == square_divides_some_norm_p_product(x, p)
 
 
 # ----------------------------------------------------------------- parsing
