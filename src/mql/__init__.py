@@ -15,6 +15,7 @@ from .hecke import (
     extract_lambda,
     hecke_image_table,
     stability_check,
+    stability_sweep,
     verify_eigen_relations,
 )
 from .lift import (

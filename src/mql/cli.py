@@ -1,11 +1,11 @@
 """Batch command-line front end.
 
-Every public engine operation except the library-only
-``quaternion.exact_divide`` is reachable from a subcommand, all structured
-input and output is JSON (CSV for the wide Satake table), and a run is
-reproducible byte for byte: identical configuration and seed produce
-identical artifacts.  Exit status is 0 exactly when all checks in scope pass;
-malformed input exits nonzero with a diagnostic naming the offending record.
+Every public engine operation but the library-only helpers the README names
+is reachable from a subcommand, all structured input and output is JSON (CSV
+for the wide Satake table), and a run is reproducible byte for byte:
+identical configuration and seed produce identical artifacts.  Exit status is
+0 exactly when all checks in scope pass; malformed input exits nonzero with a
+diagnostic naming the offending record.
 
 Every subcommand takes ``--out`` and, of the shared options, only those its
 handler reads (any other flag exits 2 naming it): --config --kmax --epsilon
@@ -48,7 +48,7 @@ from .hecke import (
     adjoint_matrix_identities,
     apply as hecke_apply,
     extract_lambda,
-    stability_check,
+    stability_sweep,
     verify_eigen_relations,
 )
 from .quaternion import _smallest_odd_prime_factor, decompose, parse_quaternion
@@ -126,8 +126,8 @@ _CONFIG_TYPES = {
     "tolerance": ("a finite number", _is_number),
     "r": ("a finite number", _is_number),
     "kinds": (
-        "a list of operator names",
-        lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
+        "a nonempty list of operator names",
+        lambda v: isinstance(v, list) and v and all(isinstance(k, str) for k in v),
     ),
     "random_lambdas": ("a JSON object", lambda v: isinstance(v, dict)),
 }
@@ -453,7 +453,7 @@ def _cmd_stability(args) -> int:
         raise CliError(f"config prime/kinds: {exc}") from None
     table = random_maass_table(epsilon, seed, k_max)
     try:
-        reports = [stability_check(op, table, tol).to_json_dict() for op in ops]
+        reports = [r.to_json_dict() for r in stability_sweep(ops, table, tol)]
     except ValueError as exc:
         raise CliError(f"k_max {k_max}: {exc}") from None
     _dump_json({"seed": seed, "epsilon": epsilon, "k_max": k_max, "reports": reports}, args.out)

@@ -24,9 +24,12 @@ trivially and are not materialized.
 The public functions take and return ``HurwitzQuaternion`` values; the class
 sums themselves run on plain doubled-coordinate tuples through the private
 kernel of the quaternion module (product, exact scalar division, closed-form
-canonical index), so no wrapper object is built per product.  A point whose
-closed-form index fails ``is_valid_index`` raises ArithmeticError instead of
-reading as zero.
+canonical index, the cached class tuples), so no wrapper object is built per
+product.  Every lookup goes through a raw view of the table, which forms
+sqrt(K) * a on the first read of an index and keeps it: ``apply`` makes one
+per call, ``stability_sweep`` one for all its images, which also share one
+list of representatives.  A point whose closed-form index fails
+``is_valid_index`` raises ArithmeticError instead of reading as zero.
 
 Lookups that would pass the table bound raise TableBoundsError rather than
 zero-fill; a truncation here would silently corrupt every ratio computed
@@ -36,6 +39,7 @@ downstream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -48,7 +52,7 @@ from .quaternion import (
     HurwitzQuaternion,
     _W,
     _W_CONJ,
-    _conj,
+    _class_tuples,
     _div_scalar,
     _in_dual_lattice,
     _lattice_index,
@@ -57,7 +61,6 @@ from .quaternion import (
     decompose,
     is_valid_index,
     representative,
-    unit_class_reps,
 )
 
 __all__ = [
@@ -73,6 +76,7 @@ __all__ = [
     "h3_sum_identity_residual",
     "hecke_image_table",
     "stability_check",
+    "stability_sweep",
     "verify_eigen_relations",
 ]
 
@@ -118,19 +122,76 @@ def _raw(table: CoefficientTable, idx: CanonicalIndex) -> float:
     return table.value_at(*idx) * math.sqrt(idx.K)
 
 
-def _raw_at_point(table: CoefficientTable, q: Optional[tuple]) -> float:
-    """Un-normalized coefficient at a lattice point in doubled coordinates;
-    zero off the dual lattice.
+class _RawView:
+    """Un-normalized coefficients of one table at lattice points, each formed
+    on the first read of its index and kept for the later reads.
 
-    An exact division can land in the order yet outside the dual lattice (odd
-    norm); the coefficient function vanishes there.
+    The value is table._read(key) * sqrt(K) as for a single lookup: a
+    Fraction entry meets the float factor as float(entry), so the bits do not
+    depend on the memo, and a formal entry raises TypeError.  The closed-form
+    index is checked with is_valid_index on its first read only; bounds go
+    through ``_read``, so a lookup past the table raises TableBoundsError.
     """
-    if q is None or not _in_dual_lattice(q):
-        return 0.0
-    key = _lattice_index(q)
-    if not is_valid_index(*key):
-        raise ArithmeticError(f"closed-form index {key} of {q} is not valid")
-    return table._read(key) * math.sqrt(key[0])
+
+    __slots__ = ("_table", "_seen")
+
+    def __init__(self, table: CoefficientTable):
+        self._table = table
+        self._seen = {}
+
+    def at(self, q: Optional[tuple]) -> float:
+        """The coefficient at a point in doubled coordinates; zero off the
+        dual lattice.
+
+        An exact division can land in the order yet outside the dual lattice
+        (odd norm); the coefficient function vanishes there.
+        """
+        if q is None or not _in_dual_lattice(q):
+            return 0.0
+        key = _lattice_index(q)
+        value = self._seen.get(key)
+        if value is None:
+            if not is_valid_index(*key):
+                raise ArithmeticError(f"closed-form index {key} of {q} is not valid")
+            value = self._seen[key] = self._table._read(key) * math.sqrt(key[0])
+        return value
+
+
+def _action(op: HeckeOperator, view: _RawView):
+    """The operator as a function from a representative's doubled coordinates
+    to the raw image coefficient, reading the source through ``view``."""
+    at = view.at
+    if op.kind == "T2":
+        # beta w^-1 = beta conj(w) / 2
+        return lambda b: 2.0 * (at(_div_scalar(_mul(b, _W_CONJ), 2)) + at(_mul(b, _W)))
+    p = op.prime
+    reps, conjs = _class_tuples(p)
+    if op.kind in ("H2", "H4"):
+        # Both mirror generators sum over the two families conj(alpha) beta
+        # and beta alpha; H4 divides the first by p, H2 the second.
+        divide_left = op.kind == "H4"
+
+        def mirror(b):
+            left = [_mul(c, b) for c in conjs]
+            right = [_mul(b, al) for al in reps]
+            divided, kept = (left, right) if divide_left else (right, left)
+            s1 = sum(at(_div_scalar(q, p)) for q in divided)
+            s2 = sum(at(q) for q in kept)
+            return p * (s1 + s2)
+
+        return mirror
+
+    def h3(b):
+        total = p * p * at(_div_scalar(b, p))
+        total += p * p * at(tuple(v * p for v in b))
+        middle = 0.0
+        for c in conjs:
+            a1c_beta = _mul(c, b)
+            for a2 in reps:
+                middle += at(_div_scalar(_mul(a1c_beta, a2), p))
+        return total + p * middle
+
+    return h3
 
 
 def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float:
@@ -149,55 +210,36 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
         )
     if beta is not None and decompose(beta)[0] != idx:
         raise ValueError(f"beta {beta!r} does not represent index {tuple(idx)}")
-    return _apply_impl(op, table, idx, beta)
-
-
-def _apply_impl(op, table, idx, beta):
     b = (representative(idx) if beta is None else beta).dc
-    if op.kind == "T2":
-        # beta w^-1 = beta conj(w) / 2
-        return 2.0 * (
-            _raw_at_point(table, _div_scalar(_mul(b, _W_CONJ), 2))
-            + _raw_at_point(table, _mul(b, _W))
-        )
-    p = op.prime
-    reps = [al.dc for al in unit_class_reps(p)]
-    if op.kind in ("H2", "H4"):
-        # Both mirror generators sum over the two families conj(alpha) beta
-        # and beta alpha; H4 divides the first by p, H2 the second.
-        left = [_mul(_conj(al), b) for al in reps]
-        right = [_mul(b, al) for al in reps]
-        divided, kept = (left, right) if op.kind == "H4" else (right, left)
-        s1 = sum(_raw_at_point(table, _div_scalar(q, p)) for q in divided)
-        s2 = sum(_raw_at_point(table, q) for q in kept)
-        return p * (s1 + s2)
-    # H3
-    total = p * p * _raw_at_point(table, _div_scalar(b, p))
-    total += p * p * _raw_at_point(table, tuple(v * p for v in b))
-    middle = 0.0
-    for a1 in reps:
-        a1c_beta = _mul(_conj(a1), b)
-        for a2 in reps:
-            middle += _raw_at_point(table, _div_scalar(_mul(a1c_beta, a2), p))
-    return total + p * middle
+    return _action(op, _RawView(table))(b)
+
+
+def _images(ops, table: CoefficientTable) -> list:
+    """The normalized image of the table under each operator, in one sweep:
+    one raw view of the table and one list of representatives serve every
+    image, each cut at its own bound (valid_indices is sorted by K)."""
+    view = _RawView(table)
+    bounds = [table.k_max // op.norm_growth for op in ops]
+    reps = [(idx, representative(idx).dc) for idx in valid_indices(max(bounds))]
+    images = []
+    for op, bound in zip(ops, bounds):
+        act = _action(op, view)
+        entries = {
+            idx: act(b) / math.sqrt(idx.K)
+            for idx, b in reps[: bisect_right(reps, bound, key=lambda r: r[0].K)]
+        }
+        images.append(CoefficientTable(table.epsilon, bound, entries, "numeric"))
+    return images
 
 
 def hecke_image_table(op: HeckeOperator, table: CoefficientTable) -> CoefficientTable:
     """The operator image as a normalized numeric table.
 
     The image bound is table.k_max divided by the norm growth of the operator,
-    so that every lookup the action needs stays inside the source table.
+    so that every lookup the action needs stays inside the source table.  Each
+    entry equals apply(op, table, idx) / sqrt(K) bit for bit.
     """
-    img_k_max = table.k_max // op.norm_growth
-    # Each entry becomes a float once here, not once per lookup; a Fraction
-    # times a float is float(Fraction) times it, so every product stays
-    # bit-identical.
-    floats = {i: float(v) for i, v in table.entries.items()}
-    table = CoefficientTable(table.epsilon, table.k_max, floats, table.backend)
-    entries = {}
-    for idx in valid_indices(img_k_max):
-        entries[idx] = apply(op, table, idx) / math.sqrt(idx.K)
-    return CoefficientTable(table.epsilon, img_k_max, entries, "numeric")
+    return _images([op], table)[0]
 
 
 def _usable_bases(table, growth):
@@ -393,22 +435,35 @@ def stability_check(
     below 4 raises ValueError: no index there has u >= 1 or n > 1, so the
     check would pass having checked nothing.
     """
-    bound = table.k_max // op.norm_growth
-    if bound < 4:
-        raise ValueError(f"{op.kind} image bound {bound} is below 4: no index to check")
-    image = hecke_image_table(op, table)
-    maass = check_maass(image, tolerance)
-    shifts = []
-    if op.kind == "H3":
-        p = op.prime
-        for l in (1, 2):
-            m = 2 * l
-            while (p ** (m + 2)) * 2 <= table.k_max:
-                res = h3_sum_identity_residual(table, p, m, l)
-                shifts.append({"m": m, "l": l, "rel_err": res})
-                m += 1
-    passed = maass.passed and all(r["rel_err"] <= tolerance for r in shifts)
-    return StabilityReport(op.prime, op.kind, image.k_max, maass, shifts, passed)
+    return stability_sweep([op], table, tolerance)[0]
+
+
+def stability_sweep(ops, table: CoefficientTable, tolerance: float = 1e-8) -> list:
+    """stability_check for each operator in turn, as one sweep: the images
+    share one raw view of the table and one list of representatives, cut at
+    each image bound.  An empty list of operators raises ValueError."""
+    ops = list(ops)
+    if not ops:
+        raise ValueError("no operator to check")
+    for op in ops:
+        bound = table.k_max // op.norm_growth
+        if bound < 4:
+            raise ValueError(f"{op.kind} image bound {bound} is below 4: no index to check")
+    reports = []
+    for op, image in zip(ops, _images(ops, table)):
+        maass = check_maass(image, tolerance)
+        shifts = []
+        if op.kind == "H3":
+            p = op.prime
+            for l in (1, 2):
+                m = 2 * l
+                while (p ** (m + 2)) * 2 <= table.k_max:
+                    res = h3_sum_identity_residual(table, p, m, l)
+                    shifts.append({"m": m, "l": l, "rel_err": res})
+                    m += 1
+        passed = maass.passed and all(r["rel_err"] <= tolerance for r in shifts)
+        reports.append(StabilityReport(op.prime, op.kind, image.k_max, maass, shifts, passed))
+    return reports
 
 
 def _mat_mul(A, B, zero):

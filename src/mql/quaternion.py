@@ -450,11 +450,19 @@ def exact_divide(x: HurwitzQuaternion, by, side: str = "left"):
     return x.divide_scalar(by)
 
 
+@lru_cache(maxsize=None)
+def _class_tuples(p: int) -> tuple:
+    """The norm-p class representatives alpha and their conjugates, as two
+    tuples of doubled coordinates in representative order."""
+    reps = tuple(al.dc for al in unit_class_reps(p))
+    return reps, tuple(_conj(al) for al in reps)
+
+
 def _class_products(b: tuple, p: int) -> tuple:
     """The products conj(alpha) * b and b * alpha over the norm-p class
     representatives alpha, as two lists in representative order."""
-    reps = [al.dc for al in unit_class_reps(p)]
-    return [_mul(_conj(al), b) for al in reps], [_mul(b, al) for al in reps]
+    reps, conjs = _class_tuples(p)
+    return [_mul(c, b) for c in conjs], [_mul(b, al) for al in reps]
 
 
 def _divides_some(products, s: int) -> bool:

@@ -201,6 +201,8 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         (["lift", "--backend", "numeric", "--source", "{source_nan_str}"], "values['2']"),
         (["lift", "--backend", "numeric", "--source", "{source_true}"], "values['2']"),
         (["lift", "--backend", "numeric", "--source", "{source_eps}"], "'epsilon' = 1.5"),
+        # a stability run with no operator to check
+        (["stability", "--kmax", "64", "--config", "{kinds_empty}"], "'kinds'"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -212,6 +214,7 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "tolerance_str": {"tolerance": "x"},
         "seed_str": {"seed": "abc"},
         "kinds_str": {"kinds": "H2"},
+        "kinds_empty": {"kinds": []},
         "nmax_neg": {"n_max": -5},
         "nmax_zero": {"n_max": 0},
         "range_nan": {"n_max": 16, "random_lambdas": {"range": [float("nan"), 1.0]}},
@@ -358,8 +361,14 @@ def test_readme_command_lines_parse():
 
 
 #: Public operations no subcommand calls: helpers the library offers its own callers.
-#: build_lift_table forms its entries through the unchecked body of lift_coefficient.
-LIBRARY_ONLY = {"quaternion.exact_divide", "lift.lift_coefficient"}
+#: build_lift_table forms its entries through the unchecked body of lift_coefficient;
+#: stability runs stability_sweep, of which the two hecke names are one-operator calls.
+LIBRARY_ONLY = {
+    "quaternion.exact_divide",
+    "lift.lift_coefficient",
+    "hecke.hecke_image_table",
+    "hecke.stability_check",
+}
 
 #: Every subcommand and mode once; {d} is a scratch directory holding {d}/cfg.json.
 REACHABILITY_RUNS = [

@@ -1,6 +1,7 @@
 """Hecke operators: closed-form cross-checks, eigenvalue relations,
 representative independence, stability, and the adjoint identities."""
 
+import json
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from mql.hecke import (
     HeckeOperator,
     _fit_ratio,
+    _images,
     _usable_bases,
     InconsistentRatiosError,
     NoUsableIndexError,
@@ -18,6 +20,7 @@ from mql.hecke import (
     h3_sum_identity_residual,
     hecke_image_table,
     stability_check,
+    stability_sweep,
     verify_eigen_relations,
 )
 from mql.lift import (
@@ -26,6 +29,8 @@ from mql.lift import (
     TableBoundsError,
     build_lift_table,
     random_maass_table,
+    table_from_json_dict,
+    table_to_json_dict,
 )
 from mql.quaternion import (
     UNIFORMIZER,
@@ -377,6 +382,58 @@ def test_stability_all_kinds(maass_table):
     for kind, p in (("T2", 2), ("H2", 3), ("H3", 3), ("H4", 3), ("H2", 5), ("H3", 5)):
         rep = stability_check(HeckeOperator(kind, p), maass_table)
         assert rep.passed, (kind, p, rep.maass.dyadic_failures[:3])
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("epsilon", [1, -1])
+@pytest.mark.parametrize("backing", ["fraction", "float"])
+def test_sweep_images_match_apply_bit_for_bit(p, epsilon, backing):
+    # one sweep shares a raw view and the representatives across all four
+    # images; apply builds a fresh view per call, so any drift shows here
+    table = random_maass_table(epsilon, seed=60 + p, k_max=600)
+    if backing == "float":
+        table = table_from_json_dict(json.loads(json.dumps(table_to_json_dict(table))))
+        assert all(type(v) is float for v in table.entries.values())
+    ops = [HeckeOperator(kind, 2 if kind == "T2" else p) for kind in ("T2", "H2", "H3", "H4")]
+    images = _images(ops, table)
+    for op, image in zip(ops, images):
+        assert image.k_max == table.k_max // op.norm_growth
+        assert list(image.entries) == [i for i in table.indices() if i.K <= image.k_max]
+        for idx, value in image.entries.items():
+            expect = apply(op, table, idx) / math.sqrt(idx.K)
+            assert value.hex() == expect.hex(), (op, idx)
+        single = hecke_image_table(op, table)
+        assert [v.hex() for v in single.entries.values()] == [
+            v.hex() for v in image.entries.values()
+        ]
+
+
+def test_sweep_invalid_closed_form_index_raises(maass_table, monkeypatch):
+    import mql.hecke
+
+    monkeypatch.setattr(mql.hecke, "_lattice_index", lambda q: (4, 0, 1))
+    with pytest.raises(ArithmeticError):
+        stability_sweep([HeckeOperator("T2", 2), HeckeOperator("H2", 3)], maass_table)
+    with pytest.raises(ArithmeticError):
+        hecke_image_table(HeckeOperator("H3", 3), maass_table)
+
+
+def test_formal_table_has_no_float_image():
+    formal = build_lift_table(SourceForm(1), 64)
+    for kind, p in (("T2", 2), ("H2", 3), ("H3", 3), ("H4", 3)):
+        op = HeckeOperator(kind, p)
+        with pytest.raises(TypeError):
+            hecke_image_table(op, formal)
+        with pytest.raises(TypeError):
+            apply(op, formal, (2, 0, 1))
+
+
+def test_stability_sweep_fails_closed():
+    table = random_maass_table(1, seed=5, k_max=32)
+    with pytest.raises(ValueError, match="no operator"):
+        stability_sweep([], table)
+    with pytest.raises(ValueError, match="H3 image bound 3"):
+        stability_sweep([HeckeOperator("T2", 2), HeckeOperator("H3", 3)], table)
 
 
 def test_t2_image_is_scalar_multiple(maass_table):
