@@ -36,6 +36,8 @@ from .formal import UnassignedSymbolError, formal_to_json_obj
 from .lift import (
     CoefficientTable,
     SourceForm,
+    _is_int,
+    _is_number,
     build_lift_table,
     check_maass,
     random_maass_table,
@@ -100,20 +102,6 @@ def _load_json(path, what):
         raise CliError(f"{what} file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {what} file {path}: {exc}") from None
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    """A JSON number (not a bool) whose float value is finite."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 #: What each config key the handlers read must hold: a description and a test.
@@ -289,11 +277,19 @@ def _cmd_lift(args) -> int:
     k_max = int(cfg.get("k_max", 256))
     backend = cfg.get("backend", "formal")
     if backend == "formal":
+        if args.source:
+            raise CliError("--source does not apply to a formal lift (use --backend numeric)")
         source = SourceForm(int(cfg.get("epsilon", 1)))
     elif backend == "numeric":
         if not args.source:
             raise CliError("numeric lift needs --source FILE (see the synth command)")
         source = _read_source(args.source)
+        eps = cfg.get("epsilon", source.epsilon)
+        if eps != source.epsilon:
+            raise CliError(
+                f"epsilon {eps} from --epsilon or the config disagrees with "
+                f"epsilon {source.epsilon} of source form {args.source}"
+            )
     else:
         raise CliError(f"unknown backend {backend!r}")
     try:

@@ -52,6 +52,7 @@ from .quaternion import (
     HurwitzQuaternion,
     _W,
     _W_CONJ,
+    _class_products,
     _class_tuples,
     _div_scalar,
     _in_dual_lattice,
@@ -165,21 +166,20 @@ def _action(op: HeckeOperator, view: _RawView):
         # beta w^-1 = beta conj(w) / 2
         return lambda b: 2.0 * (at(_div_scalar(_mul(b, _W_CONJ), 2)) + at(_mul(b, _W)))
     p = op.prime
-    reps, conjs = _class_tuples(p)
     if op.kind in ("H2", "H4"):
         # Both mirror generators sum over the two families conj(alpha) beta
         # and beta alpha; H4 divides the first by p, H2 the second.
         divide_left = op.kind == "H4"
 
         def mirror(b):
-            left = [_mul(c, b) for c in conjs]
-            right = [_mul(b, al) for al in reps]
+            left, right = _class_products(b, p)
             divided, kept = (left, right) if divide_left else (right, left)
             s1 = sum(at(_div_scalar(q, p)) for q in divided)
             s2 = sum(at(q) for q in kept)
             return p * (s1 + s2)
 
         return mirror
+    reps, conjs = _class_tuples(p)
 
     def h3(b):
         total = p * p * at(_div_scalar(b, p))
@@ -333,49 +333,34 @@ def verify_eigen_relations(table: CoefficientTable, primes, tolerance: float = 1
     """
     reports = []
     for p in sorted(primes):
-        if p == 2:
-            usable = _usable_bases(table, 2)
-            if len(usable) < 10:
-                raise NoUsableIndexError("not enough usable indices at prime 2")
-            sel = usable[:12]
-            op = HeckeOperator("T2", 2)
-            ratios = [apply(op, table, i) / v for i, v in sel]
-            mu, err = _fit_ratio(ratios)
-            expected = -3.0 * math.sqrt(2.0) * table.epsilon
-            relations = {
-                "constant": err <= tolerance,
-                "t2_scalar": rel_err(mu, expected) <= tolerance,
-            }
-            reports.append(
-                EigenReport(
-                    2, {"T2": mu}, None, relations, len(sel), err, all(relations.values())
-                )
-            )
-            continue
-        usable = _usable_bases(table, p * p)
+        ops = [HeckeOperator(kind, p) for kind in (("T2",) if p == 2 else ("H2", "H3", "H4"))]
+        usable = _usable_bases(table, max(op.norm_growth for op in ops))
         if len(usable) < 10:
             raise NoUsableIndexError(f"only {len(usable)} usable indices at prime {p}, need 10")
         sel = usable[:12]
         mu = {}
         max_err = 0.0
-        for kind in ("H2", "H3", "H4"):
-            op = HeckeOperator(kind, p)
+        for op in ops:
             ratios = [apply(op, table, i) / v for i, v in sel]
-            mu[kind], err = _fit_ratio(ratios)
+            mu[op.kind], err = _fit_ratio(ratios)
             max_err = max(max_err, err)
         relations = {"constant": max_err <= tolerance}
         lam = None
-        try:
-            lam = extract_lambda(table, p, tolerance=max(tolerance, 1e-9))
-        except (NoUsableIndexError, InconsistentRatiosError):
-            relations["lambda_extracted"] = False
-        if lam is not None:
-            relations["lambda_extracted"] = True
-            relations["mu2_eq_mu4"] = rel_err(mu["H2"], mu["H4"]) <= tolerance
-            relations["mu2_scaling"] = rel_err(mu["H2"], p * (p + 1) * lam) <= tolerance
-            relations["mu3_formula"] = (
-                rel_err(mu["H3"], p * p * lam * lam + p ** 3 + p) <= tolerance
-            )
+        if p == 2:
+            expected = -3.0 * math.sqrt(2.0) * table.epsilon
+            relations["t2_scalar"] = rel_err(mu["T2"], expected) <= tolerance
+        else:
+            try:
+                lam = extract_lambda(table, p, tolerance=max(tolerance, 1e-9))
+            except (NoUsableIndexError, InconsistentRatiosError):
+                relations["lambda_extracted"] = False
+            else:
+                relations["lambda_extracted"] = True
+                relations["mu2_eq_mu4"] = rel_err(mu["H2"], mu["H4"]) <= tolerance
+                relations["mu2_scaling"] = rel_err(mu["H2"], p * (p + 1) * lam) <= tolerance
+                relations["mu3_formula"] = (
+                    rel_err(mu["H3"], p * p * lam * lam + p ** 3 + p) <= tolerance
+                )
         reports.append(
             EigenReport(
                 p, mu, lam, relations, len(sel), max_err, all(relations.values())
@@ -531,8 +516,8 @@ def adjoint_matrix_identities(odd_primes=(3, 5)) -> AdjointReport:
                     "pass": bool(direct and integral),
                 }
             )
-    qzero = HurwitzQuaternion(0, 0, 0, 0, _check=False)
-    qone = HurwitzQuaternion(2, 0, 0, 0, _check=False)
+    qzero = HurwitzQuaternion(0, 0, 0, 0)
+    qone = HurwitzQuaternion(2, 0, 0, 0)
     wq = [[qzero, qone], [qone, qzero]]
     zq = _diag([UNIFORMIZER, UNIFORMIZER], qzero)
     gq = _diag([UNIFORMIZER, qone], qzero)

@@ -318,17 +318,24 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
     }
 
 
-def _finite_float(value) -> float:
-    """A JSON number (an int or float, not a bool) as a finite float."""
-    if type(value) not in (int, float):  # a bool is not a JSON number here
-        raise ValueError(f"value {value!r} is not a JSON number")
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    """A JSON number (an int or float, not a bool) whose float value is finite."""
     try:
-        x = float(value)
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an int beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {value!r}")
-    return x
+        return False
+
+
+def _finite_float(value) -> float:
+    """A finite JSON number as a float."""
+    if not _is_number(value):
+        raise ValueError(f"value {value!r} is not a finite JSON number")
+    return float(value)
 
 
 def table_from_json_dict(obj: dict) -> CoefficientTable:
@@ -344,14 +351,14 @@ def table_from_json_dict(obj: dict) -> CoefficientTable:
     """
     backend = obj["backend"]
     for field in ("k_max", "epsilon"):
-        if type(obj[field]) is not int:  # a bool is not an int here
+        if not _is_int(obj[field]):
             raise ValueError(f"{field!r} = {obj[field]!r} is not an integer")
     k_max = obj["k_max"]
     decode = formal_from_json_obj if backend == "formal" else _finite_float
     entries = {}
     for pos, row in enumerate(obj["entries"]):
         K, u, n = row["K"], row["u"], row["n"]
-        if not (type(K) is type(u) is type(n) is int):
+        if not (_is_int(K) and _is_int(u) and _is_int(n)):
             raise ValueError(f"entries[{pos}]: K, u, n = {K!r}, {u!r}, {n!r} are not all integers")
         idx = CanonicalIndex(K, u, n)
         if not is_valid_index(*idx):

@@ -37,12 +37,16 @@ Enumeration by norm pairs up the sums of two squares from one table, so each
 element costs a lookup rather than a search.
 
 ``HurwitzQuaternion`` is the boundary type: every public function takes and
-returns it.  Inside the package the hot loops (the Hecke operators, the
-divisibility sweep, unit-class orbits, norm enumeration, ``decompose``) run on
-plain ``(a, b, c, d)`` tuples of doubled coordinates through a small private
-kernel: ``_mul`` (the one copy of the product formula), ``_div_scalar``
-(exact division by an integer, or None) and ``_lattice_index`` (the closed-form
-index above), which spares a wrapper object per intermediate result.
+returns it.  Its constructor always checks that the doubled coordinates share
+one parity; coordinates the package computes itself, already known to lie in
+the order, are wrapped without the check by ``_wrap``.  Inside the package the
+hot loops (the Hecke operators, the divisibility sweep, unit-class orbits,
+norm enumeration, ``decompose``) run on plain ``(a, b, c, d)`` tuples of
+doubled coordinates through a small private kernel: ``_mul`` (the one copy of
+the product formula), ``_div_scalar`` (exact division by an integer, or None)
+and ``_lattice_index`` (the closed-form index above), which spares a wrapper
+object per intermediate result.  Primitivity reads the same closed form: an
+element is primitive exactly when its index is (K, 0, 1).
 """
 
 from __future__ import annotations
@@ -76,13 +80,10 @@ class HurwitzQuaternion:
 
     __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a: int, b: int, c: int, d: int, _check: bool = True):
-        if _check:
-            p = a & 1
-            if (b & 1) != p or (c & 1) != p or (d & 1) != p:
-                raise ValueError(
-                    f"doubled coordinates must share one parity: {(a, b, c, d)}"
-                )
+    def __init__(self, a: int, b: int, c: int, d: int):
+        p = a & 1
+        if (b & 1) != p or (c & 1) != p or (d & 1) != p:
+            raise ValueError(f"doubled coordinates must share one parity: {(a, b, c, d)}")
         self.a = a
         self.b = b
         self.c = c
@@ -91,7 +92,7 @@ class HurwitzQuaternion:
     @classmethod
     def from_integral(cls, x: int, y: int, z: int, w: int) -> "HurwitzQuaternion":
         """The element x + y*i + z*j + w*k with integer coordinates."""
-        return cls(2 * x, 2 * y, 2 * z, 2 * w, _check=False)
+        return _wrap((2 * x, 2 * y, 2 * z, 2 * w))
 
     @property
     def dc(self) -> tuple:
@@ -135,28 +136,21 @@ class HurwitzQuaternion:
         return head + "".join(parts[1:])
 
     def __add__(self, other):
-        return HurwitzQuaternion(
-            self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d,
-            _check=False,
-        )
+        return _wrap((self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d))
 
     def __sub__(self, other):
-        return HurwitzQuaternion(
-            self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d,
-            _check=False,
-        )
+        return _wrap((self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d))
 
     def __neg__(self):
-        return HurwitzQuaternion(-self.a, -self.b, -self.c, -self.d, _check=False)
+        return _wrap((-self.a, -self.b, -self.c, -self.d))
 
     def __mul__(self, other):
-        return HurwitzQuaternion(
-            *_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)),
-            _check=False,
+        return _wrap(
+            _mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
         )
 
     def conjugate(self) -> "HurwitzQuaternion":
-        return HurwitzQuaternion(self.a, -self.b, -self.c, -self.d, _check=False)
+        return _wrap(_conj(self.dc))
 
     def norm(self) -> int:
         """Reduced norm; a non-negative integer on the order."""
@@ -170,12 +164,12 @@ class HurwitzQuaternion:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
     def scale(self, k: int) -> "HurwitzQuaternion":
-        return HurwitzQuaternion(self.a * k, self.b * k, self.c * k, self.d * k, _check=False)
+        return _wrap((self.a * k, self.b * k, self.c * k, self.d * k))
 
     def divide_scalar(self, s: int) -> Optional["HurwitzQuaternion"]:
         """self / s when the quotient stays in the order, else None."""
         q = _div_scalar((self.a, self.b, self.c, self.d), s)
-        return None if q is None else HurwitzQuaternion(*q, _check=False)
+        return None if q is None else _wrap(q)
 
     def integer_coords(self) -> Optional[tuple]:
         """(x, y, z, w) when all coordinates are integers, else None."""
@@ -188,15 +182,11 @@ class HurwitzQuaternion:
         return _in_dual_lattice((self.a, self.b, self.c, self.d))
 
     def is_primitive(self) -> bool:
-        """Nonzero dual-lattice element with norm 2 mod 4 and coordinate gcd 1."""
-        ints = self.integer_coords()
-        if ints is None or self.is_zero():
-            return False
-        return self.norm() % 4 == 2 and gcd(*ints) == 1
-
-
-#: 1 + i, the even-place uniformizer; the dual lattice is its two-sided ideal.
-UNIFORMIZER = HurwitzQuaternion(2, 2, 0, 0, _check=False)
+        """Nonzero dual-lattice element with norm 2 mod 4 and coordinate gcd 1,
+        that is, of canonical index (K, 0, 1).  The closed form needs no
+        membership test first: u = 0 means K = 2 mod 4, while a point with odd
+        doubled coordinates has odd K."""
+        return not self.is_zero() and _lattice_index(self.dc)[1:] == (0, 1)
 
 
 # -- tuple kernel: doubled coordinates (a, b, c, d) as plain int tuples ------
@@ -221,10 +211,15 @@ def _mul(x: tuple, y: tuple) -> tuple:
 
 def _wrap(x: tuple) -> HurwitzQuaternion:
     """The boundary type on doubled coordinates known to share one parity,
-    built without the constructor's call overhead."""
+    built without the constructor's check; every build inside the package
+    goes through here."""
     q = object.__new__(HurwitzQuaternion)
     q.a, q.b, q.c, q.d = x
     return q
+
+
+#: 1 + i, the even-place uniformizer; the dual lattice is its two-sided ideal.
+UNIFORMIZER = _wrap(_W)
 
 
 def _conj(x: tuple) -> tuple:
@@ -392,7 +387,7 @@ def decompose(q: HurwitzQuaternion):
         beta = _div_scalar(_mul(_W_CONJ, beta), 2)
         if beta is None:
             raise ArithmeticError(f"uniformizer division left the order at {q!r}")
-    beta0 = HurwitzQuaternion(*beta, _check=False)
+    beta0 = _wrap(beta)
     if not beta0.is_primitive():
         raise ArithmeticError(f"decomposition of {q!r} did not reach a primitive part")
     return CanonicalIndex(K, u, n), beta0
@@ -429,7 +424,7 @@ def representative(index) -> HurwitzQuaternion:
     beta = (2 * x, 2 * y, 2 * z, 2)
     for _ in range(u):
         beta = _mul(_W, beta)
-    return HurwitzQuaternion(*(v * n for v in beta), _check=False)
+    return _wrap(tuple(v * n for v in beta))
 
 
 def exact_divide(x: HurwitzQuaternion, by, side: str = "left"):
@@ -541,7 +536,4 @@ def parse_quaternion(text: str) -> HurwitzQuaternion:
         if dq.denominator != 1:
             raise ValueError(f"{text!r} is not in the order (coordinates must be halves)")
         doubled.append(int(dq))
-    p = doubled[0] & 1
-    if any((v & 1) != p for v in doubled[1:]):
-        raise ValueError(f"{text!r} is not in the order (mixed parity)")
-    return HurwitzQuaternion(*doubled, _check=False)
+    return HurwitzQuaternion(*doubled)

@@ -154,7 +154,7 @@ def sigma_descriptor(place, lambda_p=None, epsilon=None, r=None) -> LocalDescrip
         if epsilon not in (1, -1):
             raise ValueError("even place needs epsilon = +-1")
         return LocalDescriptor(2, "twisted-steinberg", complex(-epsilon, 0))
-    if not isinstance(place, int) or place < 3 or place % 2 == 0:
+    if not isinstance(place, int) or _smallest_odd_prime_factor(place) != place:
         raise ValueError(f"place must be an odd prime, 2 or 'inf', got {place!r}")
     if lambda_p is None:
         raise ValueError("odd place needs lambda_p")

@@ -203,6 +203,10 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         (["lift", "--backend", "numeric", "--source", "{source_eps}"], "'epsilon' = 1.5"),
         # a stability run with no operator to check
         (["stability", "--kmax", "64", "--config", "{kinds_empty}"], "'kinds'"),
+        # a lift epsilon that disagrees with the source form, a source the formal lift ignores
+        (["lift", "--backend", "numeric", "--source", "{source_ok}", "--epsilon", "-1"],
+         "epsilon -1 from --epsilon or the config disagrees with epsilon 1"),
+        (["lift", "--backend", "formal", "--source", "{source_ok}"], "--source"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -224,6 +228,7 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "source_nan_str": {"epsilon": 1, "values": {"1": 1.0, "2": "nan"}},
         "source_true": {"epsilon": 1, "values": {"1": 1.0, "2": True}},
         "source_eps": {"epsilon": 1.5, "values": {"1": 1.0, "2": -0.5}},
+        "source_ok": {"epsilon": 1, "values": {"1": 1.0, "2": -0.5}},
     }
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]
@@ -358,6 +363,14 @@ def test_readme_command_lines_parse():
     assert len(lines) >= 10
     for line in lines:
         build_parser().parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_library_sketch_runs(capsys):
+    """The README's python block runs as written."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True\n"
 
 
 #: Public operations no subcommand calls: helpers the library offers its own callers.

@@ -537,6 +537,33 @@ def test_closed_form_index_matches_division_chain(q):
     assert _lattice_index(q.dc) == tuple(decompose(q)[0]) == division_chain_index(q)
 
 
+def primitive_by_norm_and_gcd(q):
+    """Integral, nonzero, reduced norm 2 mod 4 and coordinate gcd 1."""
+    ints = q.integer_coords()
+    if ints is None or q.is_zero():
+        return False
+    return q.norm() % 4 == 2 and gcd(*ints) == 1
+
+
+@given(
+    st.one_of(order_elements, dual_lattice_points(), st.just(HurwitzQuaternion(0, 0, 0, 0))),
+    st.sampled_from([1, 2, 3, 4, 5, 9, 15]),
+)
+def test_is_primitive_matches_norm_and_gcd_definition(q, k):
+    q = q.scale(k)
+    assert q.is_primitive() == primitive_by_norm_and_gcd(q)
+
+
+def test_is_primitive_matches_norm_and_gcd_definition_on_a_box():
+    outcomes = set()
+    for dc in itertools.product(range(-4, 5), repeat=4):
+        if len({v & 1 for v in dc}) == 1:
+            q = HurwitzQuaternion(*dc)
+            outcomes.add(q.is_primitive())
+            assert q.is_primitive() == primitive_by_norm_and_gcd(q), dc
+    assert outcomes == {True, False}
+
+
 @given(st.integers(0, 20), st.integers(0, 500), st.integers(0, 250_000))
 def test_decompose_inverts_representative(u, h, j):
     # a valid index is K = 2**u * n**2 * m with n odd and m = 2 mod 4
@@ -583,6 +610,6 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "1+q", "1/3", "1,2,3", "1..2", "i+", "1/2+1i/2"):
+    for text in ("", "1+q", "1/3", "1,2,3", "1..2", "i+", "1/2+1i/2", "1/2+i", "1/2,1,0,0"):
         with pytest.raises(ValueError):
             parse_quaternion(text)

@@ -150,8 +150,9 @@ def test_descriptors():
     assert d.shape == "unramified-principal-series" and d.value == pytest.approx(1.0)
     d = sigma_descriptor("inf", r=2.0)
     assert d.shape == "archimedean-principal-series" and d.value == pytest.approx(1j)
-    with pytest.raises(ValueError):
-        sigma_descriptor(4, lambda_p=1.0)
+    for place in (4, 9, 15):
+        with pytest.raises(ValueError):
+            sigma_descriptor(place, lambda_p=1.0)
     with pytest.raises(ValueError):
         sigma_descriptor(2)
     with pytest.raises(ValueError):
