@@ -154,8 +154,8 @@ def _load_table(path) -> CoefficientTable:
 
 
 def _parse_primes(items, what, *, allow_two=False) -> list:
-    """Each item as an int that is an odd prime (or 2, when allowed); the
-    first item that is not raises a CliError naming it."""
+    """Each item as an int that is an odd prime (or 2, when allowed), each
+    prime once; the first item that is not raises a CliError naming it."""
     primes = []
     for item in items:
         try:
@@ -165,6 +165,8 @@ def _parse_primes(items, what, *, allow_two=False) -> list:
         if not (allow_two and p == 2) and _smallest_odd_prime_factor(p) != p:
             kind = "a prime" if allow_two else "an odd prime"
             raise CliError(f"{what} {item!r} is not {kind}")
+        if p in primes:
+            raise CliError(f"{what} {item!r} repeats prime {p}")
         primes.append(p)
     return primes
 
@@ -175,8 +177,7 @@ def _config_lambdas(cfg) -> dict:
     if not isinstance(raw, dict):
         raise CliError("config 'lambdas' must be a JSON object")
     lams = {}
-    for key, value in raw.items():
-        (p,) = _parse_primes([key], "lambdas key")
+    for (key, value), p in zip(raw.items(), _parse_primes(raw, "lambdas key")):
         if not _is_number(value):
             raise CliError(f"lambdas[{key!r}] = {value!r} is not a finite number")
         lams[p] = float(value)
@@ -447,6 +448,9 @@ def _cmd_stability(args) -> int:
         ops = [HeckeOperator(kind, 2 if kind == "T2" else prime) for kind in kinds]
     except ValueError as exc:
         raise CliError(f"config prime/kinds: {exc}") from None
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:
+            raise CliError(f"config 'kinds' repeats {kind!r}")
     table = random_maass_table(epsilon, seed, k_max)
     try:
         reports = [r.to_json_dict() for r in stability_sweep(ops, table, tol)]

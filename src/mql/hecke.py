@@ -28,8 +28,9 @@ canonical index, the cached class tuples), so no wrapper object is built per
 product.  Every lookup goes through a raw view of the table, which forms
 sqrt(K) * a on the first read of an index and keeps it: ``apply`` makes one
 per call, ``stability_sweep`` one for all its images, which also share one
-list of representatives.  A point whose closed-form index fails
-``is_valid_index`` raises ArithmeticError instead of reading as zero.
+list of representatives, and one for its H3 shift identities.  A point whose
+closed-form index fails ``is_valid_index`` raises ArithmeticError instead of
+reading as zero.
 
 Lookups that would pass the table bound raise TableBoundsError rather than
 zero-fill; a truncation here would silently corrupt every ratio computed
@@ -74,7 +75,6 @@ __all__ = [
     "adjoint_matrix_identities",
     "apply",
     "extract_lambda",
-    "h3_sum_identity_residual",
     "hecke_image_table",
     "stability_check",
     "stability_sweep",
@@ -369,22 +369,6 @@ def verify_eigen_relations(table: CoefficientTable, primes, tolerance: float = 1
     return reports
 
 
-def h3_sum_identity_residual(table: CoefficientTable, p: int, m: int, l: int) -> float:
-    """Relative residual of the H3 shift identity at the index (2 p**m, 0, p**l):
-
-        H3 F(2 p^m, 0, p^l) = sum_{i=0..l} p^i H3 F(2 p^(m-2i), 0, 1)
-
-    which expresses that the operator image still satisfies the odd divisor-sum
-    recurrence along the p-power tower.  Requires m >= 2l and in-bounds data.
-    """
-    if m < 2 * l:
-        raise ValueError("need m >= 2l for every referenced index to exist")
-    op = HeckeOperator("H3", p)
-    lhs = apply(op, table, (2 * p ** m, 0, p ** l))
-    rhs = sum((p ** i) * apply(op, table, (2 * p ** (m - 2 * i), 0, 1)) for i in range(l + 1))
-    return rel_err(lhs, rhs)
-
-
 @dataclass
 class StabilityReport:
     """Whether an operator image lands back in the Maass space."""
@@ -413,8 +397,10 @@ class StabilityReport:
 def stability_check(
     op: HeckeOperator, table: CoefficientTable, tolerance: float = 1e-8
 ) -> StabilityReport:
-    """Recompute the operator image and verify it satisfies both recurrences;
-    for H3 also run the shift identity at every in-bounds p-power shape.
+    """Recompute the operator image and verify it satisfies both recurrences.
+    For H3, ``shift_checks`` also holds the residual of the shift identity
+    H3 F(2p^m, 0, p^l) = sum_{i<=l} p^i H3 F(2p^(m-2i), 0, 1), the image's
+    divisor-sum recurrence on the p-power tower, at each in-bounds m >= 2l.
 
     The input table is expected to pass check_maass already.  An image bound
     below 4 raises ValueError: no index there has u >= 1 or n > 1, so the
@@ -426,7 +412,9 @@ def stability_check(
 def stability_sweep(ops, table: CoefficientTable, tolerance: float = 1e-8) -> list:
     """stability_check for each operator in turn, as one sweep: the images
     share one raw view of the table and one list of representatives, cut at
-    each image bound.  An empty list of operators raises ValueError."""
+    each image bound.  The H3 shift identities, the image's divisor-sum
+    recurrence on the p-power tower, are evaluated on the sweep's own H3
+    action.  An empty list of operators raises ValueError."""
     ops = list(ops)
     if not ops:
         raise ValueError("no operator to check")
@@ -439,12 +427,14 @@ def stability_sweep(ops, table: CoefficientTable, tolerance: float = 1e-8) -> li
         maass = check_maass(image, tolerance)
         shifts = []
         if op.kind == "H3":
-            p = op.prime
+            p, h3 = op.prime, _action(op, _RawView(table))
+            raw = lambda K, n: h3(representative(CanonicalIndex(K, 0, n)).dc)  # noqa: E731
             for l in (1, 2):
                 m = 2 * l
                 while (p ** (m + 2)) * 2 <= table.k_max:
-                    res = h3_sum_identity_residual(table, p, m, l)
-                    shifts.append({"m": m, "l": l, "rel_err": res})
+                    lhs = raw(2 * p ** m, p ** l)
+                    rhs = sum((p ** i) * raw(2 * p ** (m - 2 * i), 1) for i in range(l + 1))
+                    shifts.append({"m": m, "l": l, "rel_err": rel_err(lhs, rhs)})
                     m += 1
         passed = maass.passed and all(r["rel_err"] <= tolerance for r in shifts)
         reports.append(StabilityReport(op.prime, op.kind, image.k_max, maass, shifts, passed))

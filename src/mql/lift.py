@@ -254,7 +254,9 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
     so nothing can leave the table bound here.
     """
     eps = table.epsilon
+    # Fraction * float is float(Fraction) * float: a float entry takes f1, f2.
     a1, a2 = Fraction(-3 * eps, 2), Fraction(-1, 2)
+    f1, f2 = float(a1), float(a2)
     dyadic_failures = []
     divisor_failures = []
     max_err = 0.0
@@ -275,9 +277,11 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
             rhs = sum(table.value_at(K // (d * d), u, 1) for d in _odd_divisors(n))
             record(rel_err(lhs, rhs), idx, divisor_failures)
         if u >= 1:
-            rhs = a1 * table.value_at(K // 2, u - 1, n)
+            v = table.value_at(K // 2, u - 1, n)
+            rhs = (f1 if type(v) is float else a1) * v
             if u >= 2:
-                rhs = rhs + a2 * table.value_at(K // 4, u - 2, n)
+                v = table.value_at(K // 4, u - 2, n)
+                rhs = rhs + (f2 if type(v) is float else a2) * v
             err = rel_err(reduce_eigen2(lhs, eps), reduce_eigen2(rhs, eps))
             record(err, idx, dyadic_failures)
     passed = not dyadic_failures and not divisor_failures

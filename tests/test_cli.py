@@ -207,6 +207,14 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         (["lift", "--backend", "numeric", "--source", "{source_ok}", "--epsilon", "-1"],
          "epsilon -1 from --epsilon or the config disagrees with epsilon 1"),
         (["lift", "--backend", "formal", "--source", "{source_ok}"], "--source"),
+        # a repeated prime, operator kind or lambdas key; primes compare as ints
+        (["hecke", "--table", "{table}", "--primes", "3,3"], "'3' repeats prime 3"),
+        (["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "3,5,03"],
+         "'03' repeats prime 3"),
+        (["adjoint", "--primes", "3,3"], "'3' repeats prime 3"),
+        (["stability", "--kmax", "64", "--config", "{kinds_twice}"], "'kinds' repeats 'H2'"),
+        (["satake", "--config", "{lambda_twice}"], "'03' repeats prime 3"),
+        (["synth", "--config", "{lambda_twice}"], "'03' repeats prime 3"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -229,6 +237,8 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "source_true": {"epsilon": 1, "values": {"1": 1.0, "2": True}},
         "source_eps": {"epsilon": 1.5, "values": {"1": 1.0, "2": -0.5}},
         "source_ok": {"epsilon": 1, "values": {"1": 1.0, "2": -0.5}},
+        "kinds_twice": {"kinds": ["H2", "H3", "H2"]},
+        "lambda_twice": {"n_max": 8, "lambdas": {"3": 1.5, "03": 0.5}},
     }
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]

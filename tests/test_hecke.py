@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from mql.formal import rel_err
 from mql.hecke import (
     HeckeOperator,
     _fit_ratio,
@@ -17,7 +18,6 @@ from mql.hecke import (
     adjoint_matrix_identities,
     apply,
     extract_lambda,
-    h3_sum_identity_residual,
     hecke_image_table,
     stability_check,
     stability_sweep,
@@ -444,13 +444,52 @@ def test_t2_image_is_scalar_multiple(maass_table):
         assert float(image.value_at(*idx)) == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
+SHIFT_SHAPES = [(2, 1), (3, 1), (4, 1), (4, 2)]
+
+
+def shift_table():
+    return random_maass_table(1, seed=41, k_max=1500)
+
+
 def test_h3_shift_identity_explicit():
-    # both sides evaluated independently at the documented p-power shapes
-    table = random_maass_table(1, seed=41, k_max=1500)
-    for m, l in ((2, 1), (3, 1), (4, 1), (4, 2)):
-        assert h3_sum_identity_residual(table, 3, m, l) <= 1e-10
-    with pytest.raises(ValueError):
-        h3_sum_identity_residual(table, 3, 1, 1)
+    # the sweep runs the identity at exactly the in-bounds p-power shapes, and
+    # each residual is the one the public apply gives, bit for bit
+    table = shift_table()
+    (rep,) = stability_sweep([HeckeOperator("H3", 3)], table)
+    assert [(r["m"], r["l"]) for r in rep.shift_checks] == SHIFT_SHAPES
+    h3 = HeckeOperator("H3", 3)
+    for r in rep.shift_checks:
+        m, l = r["m"], r["l"]
+        lhs = apply(h3, table, (2 * 3 ** m, 0, 3 ** l))
+        rhs = sum((3 ** i) * apply(h3, table, (2 * 3 ** (m - 2 * i), 0, 1)) for i in range(l + 1))
+        assert r["rel_err"] <= 1e-10
+        assert r["rel_err"].hex() == rel_err(lhs, rhs).hex(), (m, l)
+    assert rep.passed
+
+
+def test_h3_shift_identity_fails_closed():
+    # H3 F(54, 0, 1) enters the rhs of shape (3, 1) alone
+    table = shift_table()
+    table.entries[(54, 0, 1)] += 1
+    (rep,) = stability_sweep([HeckeOperator("H3", 3)], table)
+    errs = {(r["m"], r["l"]): r["rel_err"] for r in rep.shift_checks}
+    assert list(errs) == SHIFT_SHAPES
+    assert errs.pop((3, 1)) > 1e-8
+    assert all(err <= 1e-10 for err in errs.values())
+    assert not rep.passed and not rep.to_json_dict()["pass"]
+
+
+def test_stability_sweep_makes_no_public_evaluation(maass_table, monkeypatch):
+    import mql.hecke
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stability_sweep called apply")
+
+    monkeypatch.setattr(mql.hecke, "apply", refuse)
+    ops = [HeckeOperator(kind, 2 if kind == "T2" else 3) for kind in ("T2", "H2", "H3", "H4")]
+    reports = stability_sweep(ops, maass_table)
+    assert [r.kind for r in reports] == ["T2", "H2", "H3", "H4"]
+    assert reports[2].shift_checks and all(r.passed for r in reports)
 
 
 def test_hecke_commutativity_sample(eigen_table):
