@@ -32,18 +32,18 @@ import sys
 from . import hecke as hecke_mod
 from . import lift as lift_mod
 from . import spectral as spectral_mod
-from .formal import UnassignedSymbolError, formal_to_json_obj
+from .formal import UnassignedSymbolError, _object_json, _value_json
 from .lift import (
     CoefficientTable,
     SourceForm,
     _is_int,
     _is_number,
+    _table_json_text,
     build_lift_table,
     check_maass,
     random_maass_table,
     source_coefficient,
     table_from_json_dict,
-    table_to_json_dict,
 )
 from .hecke import (
     HeckeOperator,
@@ -70,17 +70,34 @@ class CliError(Exception):
     """Input problem; the message names the offending record."""
 
 
+def _write_text(text, path):
+    """Write an artifact to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def _dump_json(obj, path):
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
         # Strict JSON has no NaN or Infinity; the report's pass carries the failure.
         text = json.dumps(_null_non_finite(obj), sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_text(text, path)
+
+
+def _dump_values_json(obj, path):
+    """_dump_json for an object whose dict members are maps {str: value}:
+    each value is written by formal._value_json, a non-finite number as null,
+    and the other members are JSON scalars."""
+    members = [
+        (key, _object_json([(k, _value_json(x, "    ")) for k, x in v.items()], "  ")
+         if isinstance(v, dict) else json.dumps(v))
+        for key, v in obj.items()
+    ]
+    _write_text(_object_json(members, "") + "\n", path)
 
 
 def _null_non_finite(obj):
@@ -226,12 +243,7 @@ def _cmd_decompose(args) -> int:
         except ValueError as exc:
             raise CliError(f"{where}: {exc}") from None
         out_lines.append(json.dumps({"K": idx.K, "u": idx.u, "n": idx.n}, sort_keys=True))
-    payload = "\n".join(out_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _write_text("\n".join(out_lines) + "\n", args.out)
     return 0
 
 
@@ -265,9 +277,17 @@ def _read_source(path) -> SourceForm:
             raise ValueError(f"'epsilon' = {obj['epsilon']!r} is not an integer")
         values = {}
         for k, v in obj["values"].items():
+            try:
+                m = int(k)
+            except ValueError:
+                m = 0
+            if m < 1:
+                raise ValueError(f"values key {k!r} is not a positive integer")
+            if m in values:
+                raise ValueError(f"values key {k!r} repeats index {m}")
             if not _is_number(v):
                 raise ValueError(f"values[{k!r}] = {v!r} is not a finite number")
-            values[int(k)] = float(v)
+            values[m] = float(v)
         return SourceForm(obj["epsilon"], values)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad source form file {path}: {exc}") from None
@@ -299,7 +319,12 @@ def _cmd_lift(args) -> int:
         raise CliError(
             f"source form {args.source} is too short for k_max={k_max}: {exc.args[0]}"
         ) from None
-    _dump_json(table_to_json_dict(table), args.out)
+    if backend == "numeric" and not all(map(math.isfinite, table.entries.values())):
+        idx = next(i for i in table.indices() if not math.isfinite(table.entries[i]))
+        raise CliError(
+            f"source form {args.source} lifts to a non-finite value at row {tuple(idx)}"
+        )
+    _write_text(_table_json_text(table), args.out)
     return 0
 
 
@@ -310,11 +335,8 @@ def _cmd_invert(args) -> int:
     n_max = args.nmax or table.k_max // 2
     if 2 * n_max > table.k_max:
         raise CliError(f"--nmax {n_max} exceeds the table bound {table.k_max}")
-    values = {
-        str(N): formal_to_json_obj(source_coefficient(table, N))
-        for N in range(1, n_max + 1)
-    }
-    _dump_json({"epsilon": table.epsilon, "values": values}, args.out)
+    values = {str(N): source_coefficient(table, N) for N in range(1, n_max + 1)}
+    _dump_values_json({"epsilon": table.epsilon, "values": values}, args.out)
     return 0
 
 
@@ -396,10 +418,10 @@ def _cmd_synth(args) -> int:
     payload = {
         "epsilon": epsilon,
         "n_max": n_max,
-        "lambdas": {str(p): lams[p] for p in sorted(lams)},
-        "values": {str(n): v for n, v in sorted(form.coefficients.items())},
+        "lambdas": {str(p): lam for p, lam in lams.items()},
+        "values": {str(n): v for n, v in form.coefficients.items()},
     }
-    _dump_json(payload, args.out)
+    _dump_values_json(payload, args.out)
     return 0
 
 

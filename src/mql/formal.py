@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "FormalCoefficient",
@@ -53,13 +55,13 @@ class FormalCoefficient:
 
     def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        fracs = [(m, Fraction(q)) for m, q in items]
-        self._set(*_sum_ratios((m, q.numerator, q.denominator) for m, q in fracs))
+        self._set(*_sum_ratios([(m, Fraction(q)) for m, q in items]))
 
     def _set(self, num: dict, den: int):
         """Store num/den in canonical form: zero terms dropped and
         gcd(den, all numerators) = 1, so that equality is plain equality."""
-        num = {m: n for m, n in num.items() if n}
+        if not all(num.values()):
+            num = {m: n for m, n in num.items() if n}
         if not num:
             den = 1
         elif den != 1:
@@ -160,17 +162,21 @@ class FormalCoefficient:
         return "".join(parts)
 
 
-def _sum_ratios(triples):
-    """(numerators, den) of sum_M (p / q) C(M) over (M, p, q) triples with int
-    p and positive int q, den the lcm of the q; repeated symbols add up."""
-    triples = list(triples)
-    den = math.lcm(*(q for _, _, q in triples))
-    num = {}
-    for m, p, q in triples:
+def _sum_ratios(pairs):
+    """(numerators, den) of sum_M q C(M) over (M, q) pairs, q a rational or a
+    JSON coefficient string, in one pass: repeated symbols add up, and den,
+    the lcm of the denominators, grows only at one it does not already hold."""
+    num, den = {}, 1
+    for m, q in pairs:
         m = int(m)
         if m < 1:
             raise ValueError(f"symbol index must be >= 1, got {m}")
-        num[m] = num.get(m, 0) + p * (den // q)
+        p, d = _str_ratio(q) if isinstance(q, str) else _ratio(q)
+        if d != 1 and den % d:
+            f = d // math.gcd(den, d)
+            num = {k: n * f for k, n in num.items()}
+            den *= f
+        num[m] = num.get(m, 0) + p * (den // d)
     return num, den
 
 
@@ -256,6 +262,28 @@ def formal_to_json_obj(x):
     return out
 
 
+def _object_json(pairs, indent: str) -> str:
+    """The text json.dumps(sort_keys=True, indent=2) writes for an object
+    nested at ``indent``, given (key, JSON text of the value) pairs with str
+    keys, each once; the keys sort as strings ("1" < "10" < "2")."""
+    if not pairs:
+        return "{}"
+    inner = "\n" + indent + "  "
+    body = ",".join([f"{inner}{encode_basestring_ascii(k)}: {v}" for k, v in sorted(pairs)])
+    return f"{{{body}\n{indent}}}"
+
+
+def _value_json(x, indent: str) -> str:
+    """formal_to_json_obj(x) as json.dumps(sort_keys=True, indent=2) writes it
+    nested at ``indent``: a float as float.__repr__, and a non-finite one as
+    null, the way a report writes it."""
+    if not isinstance(x, FormalCoefficient):
+        x = float(x)
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    obj = formal_to_json_obj(x)
+    return _object_json([(k, encode_basestring_ascii(q)) for k, q in obj.items()], indent)
+
+
 #: The coefficient strings formal_to_json_obj writes; any other string is
 #: parsed by Fraction, so the decoder accepts what Fraction(str) does, except
 #: exponent forms, which Fraction expands in full (a 9-character "1e3000000"
@@ -281,9 +309,12 @@ def _ratio(q) -> tuple:
     return q.numerator, q.denominator
 
 
+#: _ratio of a string, each distinct one parsed once per process up to the
+#: bound; a rejected string is not memoized, so it raises every time it is read.
+_str_ratio = lru_cache(maxsize=1024)(_ratio)
+
+
 def formal_from_json_obj(obj: dict) -> FormalCoefficient:
     if not isinstance(obj, dict):
         raise ValueError(f"formal value must be a JSON object, got {obj!r}")
-    return FormalCoefficient._from_numerators(
-        *_sum_ratios((m, *_ratio(q)) for m, q in obj.items())
-    )
+    return FormalCoefficient._from_numerators(*_sum_ratios(obj.items()))

@@ -41,6 +41,7 @@ from typing import Optional
 
 from .formal import (
     FormalCoefficient,
+    _value_json,
     combine,
     evaluate,
     formal_from_json_obj,
@@ -125,23 +126,23 @@ class CoefficientTable:
         return self.entries.get(key, 0)
 
 
-def valid_indices(k_max: int) -> list:
-    """All valid indices with K <= k_max, sorted by (K, u, n).
-
-    They are the K = 2**u * n**2 * m with n odd and m = 2 mod 4, enumerated
-    directly by (u, n, m).
-    """
-    out = []
+def _index_blocks(k_max: int):
+    """The valid indices with K <= k_max, in blocks (u, n, base, ms): the
+    K = base * m, base = 2**u * n**2 with n odd, for the m = 2 mod 4 in ms."""
     u = 0
     while 2 << u <= k_max:
         n = 1
         while (2 << u) * n * n <= k_max:
             base = (1 << u) * n * n
-            out.extend(
-                CanonicalIndex(base * m, u, n) for m in range(2, k_max // base + 1, 4)
-            )
+            yield u, n, base, range(2, k_max // base + 1, 4)
             n += 2
         u += 1
+
+
+def valid_indices(k_max: int) -> list:
+    """All valid indices with K <= k_max, sorted by (K, u, n), enumerated
+    directly by (u, n, m)."""
+    out = [CanonicalIndex(base * m, u, n) for u, n, base, ms in _index_blocks(k_max) for m in ms]
     out.sort()
     return out
 
@@ -322,6 +323,23 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
     }
 
 
+def _table_json_text(table: CoefficientTable) -> str:
+    """The table file: table_to_json_dict(table) as json.dumps(sort_keys=True,
+    indent=2) writes it, plus a newline, one row template per index and no
+    row dict built."""
+    entries = table.entries
+    rows = ",".join(
+        f'\n    {{\n      "K": {K},\n      "n": {n},\n      "u": {u},\n'
+        f'      "value": {_value_json(entries[K, u, n], "      ")}\n    }}'
+        for K, u, n in table.indices()
+    )
+    rows = f"[{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "backend": "{table.backend}",\n  "entries": {rows},\n'
+        f'  "epsilon": {table.epsilon},\n  "k_max": {table.k_max}\n}}\n'
+    )
+
+
 def _is_int(value) -> bool:
     """A JSON integer: an int that is not a bool."""
     return type(value) is int
@@ -377,9 +395,10 @@ def table_from_json_dict(obj: dict) -> CoefficientTable:
             raise ValueError(f"row {tuple(idx)}: {exc}") from None
     # Every row is now a distinct valid index <= k_max.  Each K = 2 mod 4 is
     # valid (u = 0, n = 1), so if any index <= k_max is missing, the first
-    # one has K <= top + 4, where top is the largest K present.
-    top = max((idx.K for idx in entries), default=0)
-    for idx in valid_indices(min(k_max, top + 4)):
-        if idx not in entries:
-            raise ValueError(f"missing row {tuple(idx)} of a table with k_max={k_max}")
+    # one has K <= bound = min(k_max, top + 4), top the largest K present; and
+    # none is missing exactly when the rows are as many as the indices <= bound.
+    bound = min(k_max, max((idx.K for idx in entries), default=0) + 4)
+    if len(entries) != sum(len(ms) for *_, ms in _index_blocks(bound)):
+        idx = next(i for i in valid_indices(bound) if i not in entries)
+        raise ValueError(f"missing row {tuple(idx)} of a table with k_max={k_max}")
     return CoefficientTable(obj["epsilon"], k_max, entries, backend)

@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 
 from mql.cli import build_parser, main
-from mql.lift import SourceForm, build_lift_table, table_to_json_dict, valid_indices
+from mql.formal import formal_to_json_obj
+from mql.lift import (
+    SourceForm,
+    build_lift_table,
+    source_coefficient,
+    table_from_json_dict,
+    table_to_json_dict,
+    valid_indices,
+)
+from mql.spectral import synth_eigenform
 
 
 def run_cli(args):
@@ -215,6 +224,14 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         (["stability", "--kmax", "64", "--config", "{kinds_twice}"], "'kinds' repeats 'H2'"),
         (["satake", "--config", "{lambda_twice}"], "'03' repeats prime 3"),
         (["synth", "--config", "{lambda_twice}"], "'03' repeats prime 3"),
+        # a lift that overflows, which no table reader would accept back
+        (["lift", "--backend", "numeric", "--source", "{source_huge}", "--kmax", "32"],
+         "source_huge.json lifts to a non-finite value at row (4, 1, 1)"),
+        # source keys: positive integers, each once as an int
+        (["lift", "--backend", "numeric", "--source", "{source_key_twice}"],
+         "values key '03' repeats index 3"),
+        (["lift", "--backend", "numeric", "--source", "{source_key_zero}"], "values key '0'"),
+        (["lift", "--backend", "numeric", "--source", "{source_key_neg}"], "values key '-2'"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -239,6 +256,10 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "source_ok": {"epsilon": 1, "values": {"1": 1.0, "2": -0.5}},
         "kinds_twice": {"kinds": ["H2", "H3", "H2"]},
         "lambda_twice": {"n_max": 8, "lambdas": {"3": 1.5, "03": 0.5}},
+        "source_huge": {"epsilon": -1, "values": {str(m): 1e308 for m in range(1, 17)}},
+        "source_key_twice": {"epsilon": 1, "values": {"1": 1.0, "3": 0.5, "03": 0.25}},
+        "source_key_zero": {"epsilon": 1, "values": {"0": 1.0, "1": 1.0}},
+        "source_key_neg": {"epsilon": 1, "values": {"1": 1.0, "-2": -0.5}},
     }
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]
@@ -338,6 +359,70 @@ def test_non_finite_report_values_are_null(tmp_path):
     assert report["max_rel_err"] is None
 
 
+def _dumps(obj):
+    """An artifact as _dump_json writes it when every number is finite."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _invert_obj(path):
+    """invert's output for the table file at path, as a dict of JSON objects."""
+    table = table_from_json_dict(json.loads(path.read_text()))
+    values = {
+        str(N): formal_to_json_obj(source_coefficient(table, N))
+        for N in range(1, table.k_max // 2 + 1)
+    }
+    return {"epsilon": table.epsilon, "values": values}
+
+
+def test_value_map_writers_match_json_dumps(tmp_path, capsys):
+    """invert and synth write their maps byte for byte as json.dumps writes them,
+    keys in string order, and the same bytes to stdout as to --out."""
+    odd_primes = [p for p in range(3, 41, 2) if all(p % d for d in range(3, p, 2))]
+    lams = {p: (-1) ** p * p / 7.0 for p in odd_primes}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_max": 40, "lambdas": {str(p): v for p, v in lams.items()}}))
+    d = tmp_path
+    runs = {
+        "source.json": ["synth", "--config", str(cfg)],
+        "numeric.json": ["lift", "--backend", "numeric", "--source", str(d / "source.json"),
+                         "--kmax", "64"],
+        "formal.json": ["lift", "--backend", "formal", "--kmax", "256", "--epsilon", "-1"],
+        "inv_numeric.json": ["invert", "--table", str(d / "numeric.json")],
+        "inv_formal.json": ["invert", "--table", str(d / "formal.json")],
+    }
+    for name, argv in runs.items():
+        assert run_cli(argv + ["--out", str(d / name)]) == 0
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == (d / name).read_text(), name
+    form = synth_eigenform(1, lams, 40)
+    old_synth = {
+        "epsilon": 1,
+        "n_max": 40,
+        "lambdas": {str(p): lams[p] for p in sorted(lams)},
+        "values": {str(n): v for n, v in sorted(form.coefficients.items())},
+    }
+    assert (d / "source.json").read_text() == _dumps(old_synth)
+    for table, inverted in (("numeric.json", "inv_numeric.json"), ("formal.json", "inv_formal.json")):
+        assert (d / inverted).read_text() == _dumps(_invert_obj(d / table))
+    # 2-digit keys sort as strings in every map
+    assert list(json.loads((d / "inv_formal.json").read_text())["values"])[:3] == ["1", "10", "100"]
+    assert list(json.loads((d / "source.json").read_text())["lambdas"])[:2] == ["11", "13"]
+
+
+def test_non_finite_invert_value_is_null(tmp_path):
+    # a finite table whose source coefficient a(2N) + a(N) overflows
+    rows = [{"K": i.K, "u": i.u, "n": i.n, "value": 1e308} for i in valid_indices(64)]
+    table = tmp_path / "huge.json"
+    table.write_text(json.dumps({"epsilon": 1, "k_max": 64, "backend": "numeric", "entries": rows}))
+    out = tmp_path / "inverted.json"
+    assert run_cli(["invert", "--table", str(table), "--out", str(out)]) == 0
+    old = _invert_obj(table)
+    nulled = {k: v if v < float("inf") else None for k, v in old["values"].items()}
+    assert None in nulled.values()
+    assert out.read_text() == _dumps(dict(old, values=nulled))
+
+
 def test_hecke_rejects_formal_table(tmp_path, capsys):
     table = tmp_path / "formal.json"
     assert run_cli(["lift", "--backend", "formal", "--kmax", "64", "--out", str(table)]) == 0
@@ -385,10 +470,12 @@ def test_readme_library_sketch_runs(capsys):
 
 #: Public operations no subcommand calls: helpers the library offers its own callers.
 #: build_lift_table forms its entries through the unchecked body of lift_coefficient;
+#: lift writes its table file from row templates, not from table_to_json_dict's rows;
 #: stability runs stability_sweep, of which the two hecke names are one-operator calls.
 LIBRARY_ONLY = {
     "quaternion.exact_divide",
     "lift.lift_coefficient",
+    "lift.table_to_json_dict",
     "hecke.hecke_image_table",
     "hecke.stability_check",
 }

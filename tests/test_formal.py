@@ -212,16 +212,39 @@ def test_matches_fraction_reference(a, b, s, eps, pool, exact_pool):
 
 
 @pytest.mark.parametrize(
-    "text", [" 3/4", "+3", "1_0", "1.5", "3/04", "-0", "٣", "", "-", "1/0", "-12/8", "7"]
+    "text",
+    [" 3/4", "+3", "1_0", "1.5", "3/04", "-0", "٣", "", "-", "1/0", "-12/8", "7", "2/4", "+1", " 1"],
 )
 def test_decoder_accepts_exactly_what_fraction_accepts(text):
-    try:
-        expected = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        with pytest.raises(ValueError):
-            formal_from_json_obj({"1": text})
-    else:
-        assert formal_from_json_obj({"1": text}) == FormalCoefficient({1: expected})
+    for _ in range(2):  # the second read of a string comes from the decoder's memo
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError):
+                formal_from_json_obj({"1": text})
+        else:
+            assert formal_from_json_obj({"1": text}) == FormalCoefficient({1: expected})
+
+
+def test_decoder_adds_repeated_symbols():
+    for _ in range(2):
+        got = formal_from_json_obj({"1": "1/2", "2": "3", "01": "1/3", "001": "-1/6"})
+        assert got == FormalCoefficient({1: Fraction(2, 3), 2: 3})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/0", "zero denominator"),
+        (" 1/0", r"coefficient ' 1/0': Fraction\(1, 0\)"),
+        ("1e3", "exponent forms are not accepted"),
+        ("1E-2", "exponent forms are not accepted"),
+    ],
+)
+def test_decoder_rejections_are_not_memoized(text, message):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            formal_from_json_obj({"1": "1/2", "2": text})
 
 
 def test_hot_path_builds_no_fraction(monkeypatch):

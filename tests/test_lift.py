@@ -1,6 +1,7 @@
 """Lift tables, the inverse extraction, the recurrence checker, and
 Maass-space table construction."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from mql.formal import FormalCoefficient, evaluate, reduce_eigen2
 from mql.lift import (
     SourceForm,
     TableBoundsError,
+    _table_json_text,
     build_lift_table,
     check_maass,
     dyadic_depth,
@@ -281,6 +283,42 @@ def test_formal_table_roundtrip_at_bench_scale():
     ) == 2 ** 12
     for N in range(1, k_max // 2 + 1):
         assert source_coefficient(table, N) == C(N)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: build_lift_table(SourceForm(1), 256), id="formal-eps+1"),
+        pytest.param(lambda: build_lift_table(SourceForm(-1), 256), id="formal-eps-1"),
+        pytest.param(lambda: random_maass_table(-1, seed=5, k_max=512), id="fraction"),
+        pytest.param(
+            lambda: build_lift_table(
+                SourceForm(1, {m: (-1) ** m * 10.0 ** (m % 41 - 20) / 3 for m in range(1, 129)}),
+                256,
+            ),
+            id="float",
+        ),
+    ],
+)
+def test_table_writer_matches_json_dumps(make):
+    table = make()
+    obj = table_to_json_dict(table)
+    if table.backend == "formal":
+        # symbols 5 and 45 at (90, 0, 3): "45" sorts before "5" as json.dumps sorts keys
+        assert any(sorted(r["value"]) != sorted(r["value"], key=int) for r in obj["entries"])
+    expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert _table_json_text(table) == expected
+
+
+def test_table_json_reads_a_bad_coefficient_after_good_rows():
+    # the decoder's memo has parsed the row shape before; the bad row still fails
+    obj = table_to_json_dict(build_lift_table(SourceForm(1), 64))
+    assert table_from_json_dict(obj).entries == build_lift_table(SourceForm(1), 64).entries
+    for bad in ("1/0", " 1/0", "1e3", "x"):
+        rows = [dict(r, value={"1": bad}) if r["K"] == 40 else r for r in obj["entries"]]
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"row \(40, 2, 1\)"):
+                table_from_json_dict(dict(obj, entries=rows))
 
 
 def test_table_json_rejects_bad_index():
