@@ -32,7 +32,7 @@ import sys
 from . import hecke as hecke_mod
 from . import lift as lift_mod
 from . import spectral as spectral_mod
-from .formal import UnassignedSymbolError, _object_json, _value_json
+from .formal import UnassignedSymbolError, _values_map_json
 from .lift import (
     CoefficientTable,
     SourceForm,
@@ -71,12 +71,15 @@ class CliError(Exception):
 
 
 def _write_text(text, path):
-    """Write an artifact to path, or to stdout when path is None."""
-    if path is None:
+    """Write an artifact to path, or to stdout when path is None or empty."""
+    if not path:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _dump_json(obj, path):
@@ -86,18 +89,6 @@ def _dump_json(obj, path):
         # Strict JSON has no NaN or Infinity; the report's pass carries the failure.
         text = json.dumps(_null_non_finite(obj), sort_keys=True, indent=2) + "\n"
     _write_text(text, path)
-
-
-def _dump_values_json(obj, path):
-    """_dump_json for an object whose dict members are maps {str: value}:
-    each value is written by formal._value_json, a non-finite number as null,
-    and the other members are JSON scalars."""
-    members = [
-        (key, _object_json([(k, _value_json(x, "    ")) for k, x in v.items()], "  ")
-         if isinstance(v, dict) else json.dumps(v))
-        for key, v in obj.items()
-    ]
-    _write_text(_object_json(members, "") + "\n", path)
 
 
 def _null_non_finite(obj):
@@ -336,7 +327,7 @@ def _cmd_invert(args) -> int:
     if 2 * n_max > table.k_max:
         raise CliError(f"--nmax {n_max} exceeds the table bound {table.k_max}")
     values = {str(N): source_coefficient(table, N) for N in range(1, n_max + 1)}
-    _dump_values_json({"epsilon": table.epsilon, "values": values}, args.out)
+    _write_text(_values_map_json({"epsilon": table.epsilon, "values": values}), args.out)
     return 0
 
 
@@ -421,7 +412,7 @@ def _cmd_synth(args) -> int:
         "lambdas": {str(p): lam for p, lam in lams.items()},
         "values": {str(n): v for n, v in form.coefficients.items()},
     }
-    _dump_values_json(payload, args.out)
+    _write_text(_values_map_json(payload), args.out)
     return 0
 
 

@@ -25,6 +25,7 @@ combination into odd symbols only.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
@@ -60,8 +61,7 @@ class FormalCoefficient:
     def _set(self, num: dict, den: int):
         """Store num/den in canonical form: zero terms dropped and
         gcd(den, all numerators) = 1, so that equality is plain equality."""
-        if not all(num.values()):
-            num = {m: n for m, n in num.items() if n}
+        num = {m: n for m, n in num.items() if n}
         if not num:
             den = 1
         elif den != 1:
@@ -282,6 +282,18 @@ def _value_json(x, indent: str) -> str:
         return float.__repr__(x) if math.isfinite(x) else "null"
     obj = formal_to_json_obj(x)
     return _object_json([(k, encode_basestring_ascii(q)) for k, q in obj.items()], indent)
+
+
+def _values_map_json(obj: dict) -> str:
+    """The text json.dumps(obj, sort_keys=True, indent=2) writes, plus a
+    newline, for an object whose dict members are maps {str: value} and whose
+    other members are JSON scalars; each value is written by _value_json."""
+    members = [
+        (key, _object_json([(k, _value_json(x, "    ")) for k, x in v.items()], "  ")
+         if isinstance(v, dict) else json.dumps(v))
+        for key, v in obj.items()
+    ]
+    return _object_json(members, "") + "\n"
 
 
 #: The coefficient strings formal_to_json_obj writes; any other string is

@@ -65,6 +65,14 @@ def test_decompose_example(capsys):
     assert json.loads(capsys.readouterr().out) == {"K": 4, "u": 1, "n": 1}
 
 
+def test_empty_out_writes_stdout(capsys):
+    for argv in (["decompose", "2ij"], ["adjoint", "--primes", "3"], ["lift", "--kmax", "16"]):
+        assert run_cli(argv) == 0
+        expected = capsys.readouterr().out
+        assert run_cli(argv + ["--out", ""]) == 0
+        assert capsys.readouterr().out == expected, argv
+
+
 def test_decompose_file_input(tmp_path, capsys):
     f = tmp_path / "elems.txt"
     f.write_text("# comment\n1-ij\n3-3ij\n")
@@ -232,6 +240,9 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
          "values key '03' repeats index 3"),
         (["lift", "--backend", "numeric", "--source", "{source_key_zero}"], "values key '0'"),
         (["lift", "--backend", "numeric", "--source", "{source_key_neg}"], "values key '-2'"),
+        # an --out path that cannot be opened, on the report and the table writer
+        (["adjoint", "--out", "{missing}/adjoint.json"], "cannot write {missing}/adjoint.json"),
+        (["lift", "--kmax", "16", "--out", "{missing}/lift.json"], "cannot write {missing}/lift.json"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -273,14 +284,14 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
             if (row["K"], row["u"], row["n"]) == (8, 2, 1):
                 row["value"] = {"1": text}
         configs[name] = formal
-    files = {"table": numeric_table}
+    files = {"table": numeric_table, "missing": tmp_path / "missing"}
     for name, content in configs.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(content))
     capsys.readouterr()
     assert run_cli([a.format(**files) for a in argv]) == 2
     first_cut = str((cut["K"], cut["u"], cut["n"]))
-    assert named.format(first_cut=first_cut) in capsys.readouterr().err
+    assert named.format(first_cut=first_cut, **files) in capsys.readouterr().err
 
 
 def test_hecke_modes(numeric_table, capsys):
