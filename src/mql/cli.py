@@ -7,13 +7,15 @@ identical configuration and seed produce identical artifacts.  Exit status is
 0 exactly when all checks in scope pass; malformed input exits nonzero with a
 diagnostic naming the offending record.
 
-Every subcommand takes ``--out`` and, of the shared options, only those its
-handler reads (any other flag exits 2 naming it): --config --kmax --epsilon
---backend for lift; --config --tolerance for check-maass and hecke; --config
---seed --kmax --epsilon for synth; --config --tolerance --epsilon for satake;
-all but --backend for stability; none for decompose, cp-enum, invert and
-adjoint.  In hecke, --kind, --prime (default 2 for T2, else 3) and --index
-belong to apply mode and --primes to the eigen and lambda modes.
+Every subcommand takes ``--out`` (default stdout, as is an empty path; a path
+that cannot be opened for writing exits 2 naming it; ``satake --out-csv``
+follows the same rules) and, of the shared options, only those the README's
+table lists for it; any other flag exits 2 naming it, as does --tolerance in
+hecke's apply and lambda modes and in satake without --table.  An input file
+(--config, --table, --source, --in) that is missing, a directory, unreadable
+or not UTF-8 exits 2, naming it.  In hecke, --kind, --prime (default 2 for
+T2, else 3) and --index belong to apply mode and --primes to the eigen and
+lambda modes.
 
 The environment variable MQL_THREADS caps internal parallelism.  The current
 engine is sequential (the cap is honored trivially); the variable is still
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -70,6 +73,18 @@ class CliError(Exception):
     """Input problem; the message names the offending record."""
 
 
+def _read_text(path, what):
+    """The text of an input file; one that cannot be read as UTF-8 raises a CliError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise CliError(f"{what} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise CliError(f"cannot read {what} file {path}: {reason}") from None
+
+
 def _write_text(text, path):
     """Write an artifact to path, or to stdout when path is None or empty."""
     if not path:
@@ -83,12 +98,9 @@ def _write_text(text, path):
 
 
 def _dump_json(obj, path):
-    try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        # Strict JSON has no NaN or Infinity; the report's pass carries the failure.
-        text = json.dumps(_null_non_finite(obj), sort_keys=True, indent=2) + "\n"
-    _write_text(text, path)
+    # Strict JSON has no NaN or Infinity; the report's pass carries the failure.
+    text = json.dumps(_null_non_finite(obj), sort_keys=True, indent=2, allow_nan=False)
+    _write_text(text + "\n", path)
 
 
 def _null_non_finite(obj):
@@ -102,14 +114,16 @@ def _null_non_finite(obj):
     return obj
 
 
-def _load_json(path, what):
+def _load_json(path, what, parse=lambda obj: obj):
+    """parse of an input file's JSON value; a CliError names the file if any step fails."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"{what} file not found: {path}") from None
+        obj = json.loads(_read_text(path, what))
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed JSON in {what} file {path}: {exc}") from None
+    try:
+        return parse(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad {what} file {path}: {exc}") from None
 
 
 #: What each config key the handlers read must hold: a description and a test.
@@ -154,11 +168,7 @@ def _load_config(args) -> dict:
 
 
 def _load_table(path) -> CoefficientTable:
-    obj = _load_json(path, "table")
-    try:
-        return table_from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad table file {path}: {exc}") from None
+    return _load_json(path, "table", table_from_json_dict)
 
 
 def _parse_primes(items, what, *, allow_two=False) -> list:
@@ -215,14 +225,9 @@ def _lambdas_from_config(cfg, n_max) -> dict:
 
 
 def _cmd_decompose(args) -> int:
-    lines = []
-    if args.infile:
-        try:
-            with open(args.infile, encoding="utf-8") as fh:
-                raw = [ln.strip() for ln in fh]
-        except FileNotFoundError:
-            raise CliError(f"input file not found: {args.infile}") from None
-        lines = [(f"{args.infile}:{i + 1}", ln) for i, ln in enumerate(raw) if ln and not ln.startswith("#")]
+    raw = _read_text(args.infile, "input").split("\n") if args.infile else []
+    lines = [(f"{args.infile}:{i + 1}", ln.strip()) for i, ln in enumerate(raw)]
+    lines = [(where, ln) for where, ln in lines if ln and not ln.startswith("#")]
     lines += [(f"argument {i + 1}", el) for i, el in enumerate(args.elements)]
     if not lines:
         raise CliError("no elements given (pass them as arguments or via --in)")
@@ -261,27 +266,23 @@ def _cmd_cp_enum(args) -> int:
     return 0
 
 
-def _read_source(path) -> SourceForm:
-    obj = _load_json(path, "source form")
-    try:
-        if not _is_int(obj["epsilon"]):
-            raise ValueError(f"'epsilon' = {obj['epsilon']!r} is not an integer")
-        values = {}
-        for k, v in obj["values"].items():
-            try:
-                m = int(k)
-            except ValueError:
-                m = 0
-            if m < 1:
-                raise ValueError(f"values key {k!r} is not a positive integer")
-            if m in values:
-                raise ValueError(f"values key {k!r} repeats index {m}")
-            if not _is_number(v):
-                raise ValueError(f"values[{k!r}] = {v!r} is not a finite number")
-            values[m] = float(v)
-        return SourceForm(obj["epsilon"], values)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad source form file {path}: {exc}") from None
+def _source_form(obj) -> SourceForm:
+    if not _is_int(obj["epsilon"]):
+        raise ValueError(f"'epsilon' = {obj['epsilon']!r} is not an integer")
+    values = {}
+    for k, v in obj["values"].items():
+        try:
+            m = int(k)
+        except ValueError:
+            m = 0
+        if m < 1:
+            raise ValueError(f"values key {k!r} is not a positive integer")
+        if m in values:
+            raise ValueError(f"values key {k!r} repeats index {m}")
+        if not _is_number(v):
+            raise ValueError(f"values[{k!r}] = {v!r} is not a finite number")
+        values[m] = float(v)
+    return SourceForm(obj["epsilon"], values)
 
 
 def _cmd_lift(args) -> int:
@@ -295,7 +296,7 @@ def _cmd_lift(args) -> int:
     elif backend == "numeric":
         if not args.source:
             raise CliError("numeric lift needs --source FILE (see the synth command)")
-        source = _read_source(args.source)
+        source = _load_json(args.source, "source form", _source_form)
         eps = cfg.get("epsilon", source.epsilon)
         if eps != source.epsilon:
             raise CliError(
@@ -348,7 +349,10 @@ def _parse_index(text):
 
 
 def _cmd_hecke(args) -> int:
-    for flag in ("--primes",) if args.mode == "apply" else ("--kind", "--prime", "--index"):
+    ignored = ["--primes"] if args.mode == "apply" else ["--kind", "--prime", "--index"]
+    if args.mode != "eigen":
+        ignored.append("--tolerance")  # only the eigen relations are checked to a tolerance
+    for flag in ignored:
         if getattr(args, flag[2:]) is not None:
             raise CliError(f"{flag} does not apply in {args.mode} mode")
     cfg = _load_config(args)
@@ -417,6 +421,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_satake(args) -> int:
+    if args.tolerance is not None and not args.table:
+        raise CliError("--tolerance does not apply to satake without --table")
     cfg = _load_config(args)
     tol = float(cfg.get("tolerance", 1e-8))
     lams = _config_lambdas(cfg)
@@ -427,9 +433,9 @@ def _cmd_satake(args) -> int:
         params = satake_from_lambda(p, lams[p])
         pairs.append((ramanujan_violation_check(params), params))
     if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(satake_csv_rows(pairs))
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows(satake_csv_rows(pairs))
+        _write_text(rows.getvalue(), args.out_csv)
     payload = {"note": spectral_mod.MODULUS_READING_NOTE, "reports": [rep for rep, _ in pairs]}
     descriptors = [
         sigma_descriptor(p, lambda_p=lams[p]).to_json_dict() for p in sorted(lams)

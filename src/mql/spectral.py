@@ -84,15 +84,30 @@ class SatakeParams:
         }
 
 
+def _unit_roots(lambda_p: float) -> tuple:
+    """The roots (lambda_p + s) / 2 and (lambda_p - s) / 2 of x^2 - lambda_p x + 1,
+    s the complex square root of lambda_p^2 - 4, as complex numbers.
+
+    Beyond |lambda_p| = 2 the roots are real with product 1: the larger one is
+    formed without squaring lambda_p, which could overflow, and the smaller one
+    as its reciprocal, which the subtraction would cancel to 0.
+    """
+    if abs(lambda_p) <= 2.0:
+        s = cmath.sqrt(complex(lambda_p * lambda_p - 4.0))
+        return (lambda_p + s) / 2.0, (lambda_p - s) / 2.0
+    a = abs(lambda_p)
+    big = math.copysign(0.5 * a + 0.5 * math.sqrt(a - 2.0) * math.sqrt(a + 2.0), lambda_p)
+    small = complex(1.0 / big, 0.0)
+    return (complex(big, 0.0), small) if lambda_p > 0 else (small, complex(big, 0.0))
+
+
 def satake_from_lambda(p: int, lambda_p: float) -> SatakeParams:
     """Satake parameters of the lift at an odd prime with eigenvalue lambda_p.
 
     The square root is taken in the complex plane, so |lambda_p| < 2 lands on
     the unit circle times p^(+-1/2).
     """
-    s = cmath.sqrt(complex(lambda_p * lambda_p - 4.0))
-    r_plus = (lambda_p + s) / 2.0
-    r_minus = (lambda_p - s) / 2.0
+    r_plus, r_minus = _unit_roots(lambda_p)
     sq = math.sqrt(p)
     return SatakeParams(
         p, float(lambda_p), (sq * r_plus, sq * r_minus, r_plus / sq, r_minus / sq)
@@ -158,8 +173,7 @@ def sigma_descriptor(place, lambda_p=None, epsilon=None, r=None) -> LocalDescrip
         raise ValueError(f"place must be an odd prime, 2 or 'inf', got {place!r}")
     if lambda_p is None:
         raise ValueError("odd place needs lambda_p")
-    value = (lambda_p + cmath.sqrt(complex(lambda_p * lambda_p - 4.0))) / 2.0
-    return LocalDescriptor(place, "unramified-principal-series", value)
+    return LocalDescriptor(place, "unramified-principal-series", _unit_roots(lambda_p)[0])
 
 
 @dataclass(frozen=True)

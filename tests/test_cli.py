@@ -1,6 +1,7 @@
 """Command-line surface: subcommand behavior, exit-status contract, input
 diagnostics, operation coverage, and byte-level determinism."""
 
+import ast
 import hashlib
 import json
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import mql.cli
 from mql.cli import build_parser, main
 from mql.formal import formal_to_json_obj
 from mql.lift import (
@@ -18,7 +20,7 @@ from mql.lift import (
     table_to_json_dict,
     valid_indices,
 )
-from mql.spectral import synth_eigenform
+from mql.spectral import satake_from_lambda, synth_eigenform
 
 
 def run_cli(args):
@@ -243,6 +245,52 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         # an --out path that cannot be opened, on the report and the table writer
         (["adjoint", "--out", "{missing}/adjoint.json"], "cannot write {missing}/adjoint.json"),
         (["lift", "--kmax", "16", "--out", "{missing}/lift.json"], "cannot write {missing}/lift.json"),
+        (["satake", "--config", "{lambda_ok}", "--out-csv", "{missing}/satake.csv"],
+         "cannot write {missing}/satake.csv"),
+        # an input file that is missing, not JSON, a directory or not UTF-8
+        (["check-maass", "--table", "{missing}/table.json"],
+         "table file not found: {missing}/table.json"),
+        (["lift", "--config", "{malformed}"], "malformed JSON in config file {malformed}"),
+        (["check-maass", "--table", "{dir}"], "cannot read table file {dir}"),
+        (["check-maass", "--table", "{non_utf8}"], "cannot read table file {non_utf8}"),
+        (["lift", "--config", "{dir}"], "cannot read config file {dir}"),
+        (["lift", "--backend", "numeric", "--source", "{dir}"], "cannot read source form file {dir}"),
+        (["decompose", "--in", "{dir}"], "cannot read input file {dir}"),
+        (["decompose", "--in", "{non_utf8}"], "cannot read input file {non_utf8}"),
+        # --tolerance where the run checks nothing to a tolerance
+        (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--index", "2,0,1",
+          "--tolerance", "5"], "--tolerance does not apply in apply mode"),
+        (["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "3", "--tolerance", "5"],
+         "--tolerance does not apply in lambda mode"),
+        (["satake", "--config", "{lambda_ok}", "--tolerance", "5"],
+         "--tolerance does not apply to satake without --table"),
+        # config values out of range or of the wrong shape
+        (["lift", "--config", "{config_list}"], "config file {config_list} must hold a JSON object"),
+        (["check-maass", "--table", "{table}", "--tolerance", "0"], "tolerance must be positive"),
+        (["lift", "--kmax", "1"], "k_max must be at least 2"),
+        (["lift", "--config", "{epsilon_two}"], "epsilon must be 1 or -1"),
+        (["satake", "--config", "{lambdas_list}"], "config 'lambdas' must be a JSON object"),
+        (["synth", "--config", "{random_seed_float}"], "random_lambdas 'seed' = 1.5"),
+        (["lift", "--config", "{backend_xyz}"], "unknown backend 'xyz'"),
+        (["synth", "--config", "{lambdas_short}"], "missing lambda for prime 3"),
+        (["satake", "--config", "{lambdas_empty}"], "nonempty 'lambdas'"),
+        # elements, sources and indices the engine rejects
+        (["decompose"], "no elements given"),
+        (["cp-enum", "3", "--divisibility", "2+2i"], "--divisibility '2+2i': beta must be primitive"),
+        (["cp-enum", "3", "--divisibility", "x"], "--divisibility 'x'"),
+        (["lift", "--backend", "numeric", "--source", "{source_key_abc}"],
+         "values key 'abc' is not a positive integer"),
+        (["lift", "--backend", "numeric"], "numeric lift needs --source"),
+        (["invert", "--table", "{table}", "--nmax", "129"], "--nmax 129 exceeds the table bound 256"),
+        (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--index", "2-0-1"],
+         "bad index '2-0-1'"),
+        (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2"],
+         "apply mode needs --kind and at least one --index"),
+        (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--index", "254,0,1"],
+         "--index 254,0,1: index (762,0,1) exceeds table bound"),
+        (["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "131"],
+         "prime 131: no usable index"),
+        (["hecke", "--table", "{table}", "--primes", "131"], "usable indices at prime 131"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -271,6 +319,17 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "source_key_twice": {"epsilon": 1, "values": {"1": 1.0, "3": 0.5, "03": 0.25}},
         "source_key_zero": {"epsilon": 1, "values": {"0": 1.0, "1": 1.0}},
         "source_key_neg": {"epsilon": 1, "values": {"1": 1.0, "-2": -0.5}},
+        "source_key_abc": {"epsilon": 1, "values": {"1": 1.0, "abc": -0.5}},
+        "lambda_ok": {"lambdas": {"3": 1.5}},
+        "config_list": [1, 2],
+        "epsilon_two": {"epsilon": 2},
+        "lambdas_list": {"lambdas": [1.5]},
+        "random_seed_float": {"n_max": 16, "random_lambdas": {"seed": 1.5}},
+        "backend_xyz": {"backend": "xyz"},
+        "lambdas_short": {"n_max": 16},
+        "lambdas_empty": {"lambdas": {}},
+        "malformed": b'{"k_max": ',
+        "non_utf8": b'{"k_max": "\xff"}',
     }
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]
@@ -284,10 +343,13 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
             if (row["K"], row["u"], row["n"]) == (8, 2, 1):
                 row["value"] = {"1": text}
         configs[name] = formal
-    files = {"table": numeric_table, "missing": tmp_path / "missing"}
+    files = {"table": numeric_table, "missing": tmp_path / "missing", "dir": tmp_path}
     for name, content in configs.items():
         files[name] = tmp_path / f"{name}.json"
-        files[name].write_text(json.dumps(content))
+        if isinstance(content, bytes):
+            files[name].write_bytes(content)
+        else:
+            files[name].write_text(json.dumps(content))
     capsys.readouterr()
     assert run_cli([a.format(**files) for a in argv]) == 2
     first_cut = str((cut["K"], cut["u"], cut["n"]))
@@ -346,6 +408,21 @@ def test_satake_and_stability_and_adjoint(tmp_path, capsys):
 
     assert run_cli(["adjoint"]) == 0
     assert json.loads(capsys.readouterr().out)["pass"]
+
+
+@pytest.mark.parametrize("lam", [1e10, -1e10, 1e200])
+def test_satake_large_lambda(tmp_path, capsys, lam):
+    """Far outside [-2, 2] the small root is the reciprocal of the large one,
+    not a difference that cancels to 0 (whose log would raise)."""
+    cfg = tmp_path / "sat.json"
+    cfg.write_text(json.dumps({"lambdas": {"3": lam}}))
+    assert run_cli(["satake", "--config", str(cfg)]) == 0
+    rep = json.loads(capsys.readouterr().out)["reports"][0]
+    assert all(isinstance(e, float) for e in rep["exponents"])  # null if not finite
+    assert rep["violated"] is True
+    assert abs(rep["alpha_sum"]) <= 1e-10
+    residuals = satake_from_lambda(3, lam).invariant_residuals()
+    assert all(v <= 1e-12 * 3 for v in residuals.values()), residuals  # as for |lambda| <= 10
 
 
 def test_non_finite_report_values_are_null(tmp_path):
@@ -432,6 +509,29 @@ def test_non_finite_invert_value_is_null(tmp_path):
     nulled = {k: v if v < float("inf") else None for k, v in old["values"].items()}
     assert None in nulled.values()
     assert out.read_text() == _dumps(dict(old, values=nulled))
+
+
+def test_cli_opens_files_only_in_its_reader_and_writer():
+    """Every file the CLI touches goes through _read_text or _write_text, so
+    one rule (exit 2, naming the file) covers every path it is given."""
+    tree = ast.parse(Path(mql.cli.__file__).read_text())
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id == "open") or (
+                    isinstance(f, ast.Attribute) and f.attr == "open"
+                ):
+                    owners.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    assert sorted(owners) == ["_read_text", "_write_text"]
 
 
 def test_hecke_rejects_formal_table(tmp_path, capsys):
