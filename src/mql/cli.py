@@ -128,12 +128,12 @@ def _load_json(path, what, parse=lambda obj: obj):
 
 #: What each config key the handlers read must hold: a description and a test.
 _CONFIG_TYPES = {
-    "k_max": ("an integer", _is_int),
-    "n_max": ("an integer", _is_int),
+    "k_max": ("an integer of at least 2", lambda v: _is_int(v) and v >= 2),
+    "n_max": ("an integer of at least 1", lambda v: _is_int(v) and v >= 1),
     "seed": ("an integer", _is_int),
     "prime": ("an integer", _is_int),
-    "epsilon": ("an integer", _is_int),
-    "tolerance": ("a finite number", _is_number),
+    "epsilon": ("1 or -1", lambda v: _is_int(v) and v in (1, -1)),
+    "tolerance": ("a positive finite number", lambda v: _is_number(v) and v > 0),
     "r": ("a finite number", _is_number),
     "kinds": (
         "a nonempty list of operator names",
@@ -147,23 +147,15 @@ def _load_config(args) -> dict:
     cfg = _load_json(args.config, "config") if args.config else {}
     if not isinstance(cfg, dict):
         raise CliError(f"config file {args.config} must hold a JSON object")
+    origin = dict.fromkeys(cfg, f"config file {args.config}")
     for flag in ("backend", "tolerance", "seed", "kmax", "epsilon"):
         v = getattr(args, flag, None)
         if v is not None:
-            cfg["k_max" if flag == "kmax" else flag] = v
+            key = "k_max" if flag == "kmax" else flag
+            cfg[key], origin[key] = v, f"--{flag}"
     for key, (what, ok) in _CONFIG_TYPES.items():
         if key in cfg and not ok(cfg[key]):
-            raise CliError(f"config {key!r} = {cfg[key]!r} is not {what}")
-    tol = cfg.get("tolerance")
-    if tol is not None and not 0 < tol < math.inf:
-        raise CliError("tolerance must be positive and finite")
-    if cfg.get("k_max") is not None and cfg["k_max"] < 2:
-        raise CliError("k_max must be at least 2")
-    if cfg.get("n_max") is not None and cfg["n_max"] < 1:
-        raise CliError(f"config 'n_max' = {cfg['n_max']} must be at least 1")
-    eps = cfg.get("epsilon")
-    if eps is not None and eps not in (1, -1):
-        raise CliError("epsilon must be 1 or -1")
+            raise CliError(f"{key!r} = {cfg[key]!r} from {origin[key]} is not {what}")
     return cfg
 
 
@@ -409,7 +401,7 @@ def _cmd_synth(args) -> int:
     try:
         form = synth_eigenform(epsilon, lams, n_max)
     except spectral_mod.MissingLambdaError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(exc.args[0]) from None
     payload = {
         "epsilon": epsilon,
         "n_max": n_max,

@@ -25,12 +25,13 @@ The public functions take and return ``HurwitzQuaternion`` values; the class
 sums themselves run on plain doubled-coordinate tuples through the private
 kernel of the quaternion module (product, exact scalar division, closed-form
 canonical index, the cached class tuples), so no wrapper object is built per
-product.  Every lookup goes through a raw view of the table, which forms
-sqrt(K) * a on the first read of an index and keeps it: ``apply`` makes one
-per call, ``stability_sweep`` one for all its images, which also share one
-list of representatives, and one for its H3 shift identities.  A point whose
-closed-form index fails ``is_valid_index`` raises ArithmeticError instead of
-reading as zero.
+product.  Every read of the table goes through a raw view, which forms
+sqrt(K) * a on the first read of an index and keeps it, and each public call
+makes exactly one: ``stability_sweep`` shares its view, and one list of
+representatives, across all its images and its H3 shift identities, and
+``verify_eigen_relations`` across its bases and every operator ratio.  An
+index that fails ``is_valid_index`` raises ArithmeticError instead of reading
+as zero.
 
 Lookups that would pass the table bound raise TableBoundsError rather than
 zero-fill; a truncation here would silently corrupt every ratio computed
@@ -117,28 +118,32 @@ class HeckeOperator:
         return self.prime * self.prime if self.kind == "H3" else self.prime
 
 
-def _raw(table: CoefficientTable, idx: CanonicalIndex) -> float:
-    """Un-normalized coefficient sqrt(K) * a at a valid in-bounds index; a
-    formal entry raises TypeError, as it multiplies only by exact numbers."""
-    return table.value_at(*idx) * math.sqrt(idx.K)
-
-
 class _RawView:
-    """Un-normalized coefficients of one table at lattice points, each formed
-    on the first read of its index and kept for the later reads.
+    """Un-normalized coefficients of one table, each formed on the first read
+    of its index and kept for the later reads; the only reader of table values
+    in this module.
 
     The value is table._read(key) * sqrt(K) as for a single lookup: a
     Fraction entry meets the float factor as float(entry), so the bits do not
-    depend on the memo, and a formal entry raises TypeError.  The closed-form
-    index is checked with is_valid_index on its first read only; bounds go
-    through ``_read``, so a lookup past the table raises TableBoundsError.
+    depend on the memo, and a formal entry raises TypeError.  The index is
+    checked with is_valid_index on its first read only; bounds go through
+    ``_read``, so a lookup past the table raises TableBoundsError.
     """
 
-    __slots__ = ("_table", "_seen")
+    __slots__ = ("table", "_seen")
 
     def __init__(self, table: CoefficientTable):
-        self._table = table
+        self.table = table
         self._seen = {}
+
+    def raw(self, key: tuple) -> float:
+        """The coefficient at a canonical (K, u, n)."""
+        value = self._seen.get(key)
+        if value is None:
+            if not is_valid_index(*key):
+                raise ArithmeticError(f"index {tuple(key)} is not valid")
+            value = self._seen[key] = self.table._read(key) * math.sqrt(key[0])
+        return value
 
     def at(self, q: Optional[tuple]) -> float:
         """The coefficient at a point in doubled coordinates; zero off the
@@ -149,13 +154,7 @@ class _RawView:
         """
         if q is None or not _in_dual_lattice(q):
             return 0.0
-        key = _lattice_index(q)
-        value = self._seen.get(key)
-        if value is None:
-            if not is_valid_index(*key):
-                raise ArithmeticError(f"closed-form index {key} of {q} is not valid")
-            value = self._seen[key] = self._table._read(key) * math.sqrt(key[0])
-        return value
+        return self.raw(_lattice_index(q))
 
 
 def _action(op: HeckeOperator, view: _RawView):
@@ -214,11 +213,11 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
     return _action(op, _RawView(table))(b)
 
 
-def _images(ops, table: CoefficientTable) -> list:
-    """The normalized image of the table under each operator, in one sweep:
-    one raw view of the table and one list of representatives serve every
-    image, each cut at its own bound (valid_indices is sorted by K)."""
-    view = _RawView(table)
+def _images(ops, view: _RawView) -> list:
+    """The normalized image of the viewed table under each operator, in one
+    sweep: the view and one list of representatives serve every image, each
+    cut at its own bound (valid_indices is sorted by K)."""
+    table = view.table
     bounds = [table.k_max // op.norm_growth for op in ops]
     reps = [(idx, representative(idx).dc) for idx in valid_indices(max(bounds))]
     images = []
@@ -239,16 +238,16 @@ def hecke_image_table(op: HeckeOperator, table: CoefficientTable) -> Coefficient
     so that every lookup the action needs stays inside the source table.  Each
     entry equals apply(op, table, idx) / sqrt(K) bit for bit.
     """
-    return _images([op], table)[0]
+    return _images([op], _RawView(table))[0]
 
 
-def _usable_bases(table, growth):
+def _usable_bases(view: _RawView, growth):
     """Indices whose operator closure stays in bounds and whose raw coefficient
     exceeds 1e-9 * max(1, largest such magnitude), in canonical order."""
-    cands = [i for i in table.indices() if i.K * growth <= table.k_max]
+    cands = [i for i in view.table.indices() if i.K * growth <= view.table.k_max]
     if not cands:
         return []
-    raws = {i: _raw(table, i) for i in cands}
+    raws = {i: view.raw(i) for i in cands}
     scale = max(abs(v) for v in raws.values())
     cutoff = 1e-9 * max(1.0, scale)
     return [(i, raws[i]) for i in cands if abs(raws[i]) > cutoff]
@@ -262,19 +261,16 @@ def extract_lambda(table: CoefficientTable, p: int, tolerance: float = 1e-9) -> 
     not divide K.  The estimates from the first eight usable bases, of which
     there must be at least three, must agree within the tolerance.
     """
-    usable = [
-        (i, v)
-        for i, v in _usable_bases(table, p)
-        if i.u == 0 and i.n == 1
-    ]
+    view = _RawView(table)
+    usable = [(i, v) for i, v in _usable_bases(view, p) if i.u == 0 and i.n == 1]
     if len(usable) < 3:
         raise NoUsableIndexError(f"no usable index for prime {p}")
     ests = []
     for idx, denom in usable[:8]:
         K = idx.K
-        num = _raw(table, CanonicalIndex(p * K, 0, 1))
+        num = view.raw((p * K, 0, 1))
         if K % p == 0:
-            num += _raw(table, CanonicalIndex(K // p, 0, 1))
+            num += view.raw((K // p, 0, 1))
         ests.append(num / denom)
     # max and min skip a NaN that is not first, so a non-finite estimate
     # makes the spread NaN itself, which fails the test below.
@@ -331,17 +327,19 @@ def verify_eigen_relations(table: CoefficientTable, primes, tolerance: float = 1
     On a non-eigen table the ratios fail to be constant and the report flags
     it rather than raising.
     """
+    view = _RawView(table)
     reports = []
     for p in sorted(primes):
         ops = [HeckeOperator(kind, p) for kind in (("T2",) if p == 2 else ("H2", "H3", "H4"))]
-        usable = _usable_bases(table, max(op.norm_growth for op in ops))
+        usable = _usable_bases(view, max(op.norm_growth for op in ops))
         if len(usable) < 10:
             raise NoUsableIndexError(f"only {len(usable)} usable indices at prime {p}, need 10")
-        sel = usable[:12]
+        sel = [(representative(i).dc, v) for i, v in usable[:12]]
         mu = {}
         max_err = 0.0
         for op in ops:
-            ratios = [apply(op, table, i) / v for i, v in sel]
+            act = _action(op, view)
+            ratios = [act(b) / v for b, v in sel]
             mu[op.kind], err = _fit_ratio(ratios)
             max_err = max(max_err, err)
         relations = {"constant": max_err <= tolerance}
@@ -413,8 +411,8 @@ def stability_sweep(ops, table: CoefficientTable, tolerance: float = 1e-8) -> li
     """stability_check for each operator in turn, as one sweep: the images
     share one raw view of the table and one list of representatives, cut at
     each image bound.  The H3 shift identities, the image's divisor-sum
-    recurrence on the p-power tower, are evaluated on the sweep's own H3
-    action.  An empty list of operators raises ValueError."""
+    recurrence on the p-power tower, are evaluated through the same view on
+    the sweep's own H3 action.  An empty list of operators raises ValueError."""
     ops = list(ops)
     if not ops:
         raise ValueError("no operator to check")
@@ -422,12 +420,13 @@ def stability_sweep(ops, table: CoefficientTable, tolerance: float = 1e-8) -> li
         bound = table.k_max // op.norm_growth
         if bound < 4:
             raise ValueError(f"{op.kind} image bound {bound} is below 4: no index to check")
+    view = _RawView(table)
     reports = []
-    for op, image in zip(ops, _images(ops, table)):
+    for op, image in zip(ops, _images(ops, view)):
         maass = check_maass(image, tolerance)
         shifts = []
         if op.kind == "H3":
-            p, h3 = op.prime, _action(op, _RawView(table))
+            p, h3 = op.prime, _action(op, view)
             raw = lambda K, n: h3(representative(CanonicalIndex(K, 0, n)).dc)  # noqa: E731
             for l in (1, 2):
                 m = 2 * l

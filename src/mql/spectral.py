@@ -117,9 +117,13 @@ def satake_from_lambda(p: int, lambda_p: float) -> SatakeParams:
 def ramanujan_violation_check(params: SatakeParams) -> dict:
     """Exponent report for one prime: log-base-p moduli of the four characters,
     whether their maximum exceeds the temperedness bound, and the cancellation
-    alpha+ + alpha- of the unit-circle factors."""
+    alpha+ + alpha- of the unit-circle factors.  A character p^(+-1/2) r whose
+    modulus overflows to inf or underflows to 0 takes +-1/2 + log|r| / log p."""
     logp = math.log(params.prime)
-    exponents = [math.log(abs(ch)) / logp for ch in params.chi]
+    exponents = [
+        math.log(abs(ch)) / logp if 0.0 < abs(ch) < math.inf else half + math.log(abs(r)) / logp
+        for ch, half, r in zip(params.chi, (0.5, 0.5, -0.5, -0.5), _unit_roots(params.lambda_p) * 2)
+    ]
     max_abs = max(abs(v) for v in exponents)
     alpha_plus = exponents[0] - 0.5
     alpha_minus = exponents[1] - 0.5

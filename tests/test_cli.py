@@ -266,13 +266,15 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
          "--tolerance does not apply to satake without --table"),
         # config values out of range or of the wrong shape
         (["lift", "--config", "{config_list}"], "config file {config_list} must hold a JSON object"),
-        (["check-maass", "--table", "{table}", "--tolerance", "0"], "tolerance must be positive"),
-        (["lift", "--kmax", "1"], "k_max must be at least 2"),
-        (["lift", "--config", "{epsilon_two}"], "epsilon must be 1 or -1"),
+        (["check-maass", "--table", "{table}", "--tolerance", "0"],
+         "'tolerance' = 0.0 from --tolerance is not a positive finite number"),
+        (["lift", "--kmax", "1"], "'k_max' = 1 from --kmax is not an integer of at least 2"),
+        (["lift", "--config", "{epsilon_two}"],
+         "'epsilon' = 2 from config file {epsilon_two} is not 1 or -1"),
         (["satake", "--config", "{lambdas_list}"], "config 'lambdas' must be a JSON object"),
         (["synth", "--config", "{random_seed_float}"], "random_lambdas 'seed' = 1.5"),
         (["lift", "--config", "{backend_xyz}"], "unknown backend 'xyz'"),
-        (["synth", "--config", "{lambdas_short}"], "missing lambda for prime 3"),
+        (["synth", "--config", "{lambdas_short}"], "error: missing lambda for prime 3\n"),
         (["satake", "--config", "{lambdas_empty}"], "nonempty 'lambdas'"),
         # elements, sources and indices the engine rejects
         (["decompose"], "no elements given"),
@@ -423,6 +425,19 @@ def test_satake_large_lambda(tmp_path, capsys, lam):
     assert abs(rep["alpha_sum"]) <= 1e-10
     residuals = satake_from_lambda(3, lam).invariant_residuals()
     assert all(v <= 1e-12 * 3 for v in residuals.values()), residuals  # as for |lambda| <= 10
+
+
+@pytest.mark.parametrize("lam", [1e308, -1e308])
+def test_satake_exponents_finite_at_float_limit(tmp_path, capsys, lam):
+    """At p = 13 the large character sqrt(p) r overflows to inf although its
+    exponent 1/2 + log|r| / log p is finite."""
+    cfg = tmp_path / "sat.json"
+    cfg.write_text(json.dumps({"lambdas": {"13": lam}}))
+    assert run_cli(["satake", "--config", str(cfg)]) == 0
+    rep = json.loads(capsys.readouterr().out)["reports"][0]
+    assert all(isinstance(e, float) for e in rep["exponents"])  # null if not finite
+    assert isinstance(rep["max_abs_exponent"], float)
+    assert abs(rep["alpha_sum"]) <= 1e-10
 
 
 def test_non_finite_report_values_are_null(tmp_path):

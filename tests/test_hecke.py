@@ -1,15 +1,18 @@
 """Hecke operators: closed-form cross-checks, eigenvalue relations,
 representative independence, stability, and the adjoint identities."""
 
+import ast
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from mql.formal import rel_err
 from mql.hecke import (
     HeckeOperator,
+    _RawView,
     _fit_ratio,
     _images,
     _usable_bases,
@@ -318,7 +321,7 @@ def test_extract_lambda_errors(maass_table):
 
 def test_non_finite_lambda_estimate_fails_closed(eigen_table):
     table, _ = eigen_table
-    bases = [i for i, _ in _usable_bases(table, 3) if i.u == 0 and i.n == 1]
+    bases = [i for i, _ in _usable_bases(_RawView(table), 3) if i.u == 0 and i.n == 1]
     entries = dict(table.entries)
     entries[CanonicalIndex(3 * bases[2].K, 0, 1)] = math.nan
     scratch = CoefficientTable(table.epsilon, table.k_max, entries, table.backend)
@@ -337,12 +340,14 @@ def test_nan_ratio_fails_eigen_relations(eigen_table, monkeypatch):
     import mql.hecke
 
     table, _ = eigen_table
-    target = _usable_bases(table, 9)[1][0]
-    real_apply = mql.hecke.apply
-    monkeypatch.setattr(
-        mql.hecke, "apply",
-        lambda op, tbl, idx: math.nan if idx == target else real_apply(op, tbl, idx),
-    )
+    target = representative(_usable_bases(_RawView(table), 9)[1][0]).dc
+    real_action = mql.hecke._action
+
+    def action(op, view):
+        act = real_action(op, view)
+        return lambda b: math.nan if b == target else act(b)
+
+    monkeypatch.setattr(mql.hecke, "_action", action)
     (report,) = verify_eigen_relations(table, (3,))
     assert not report.relations["constant"] and not report.passed
 
@@ -395,7 +400,7 @@ def test_sweep_images_match_apply_bit_for_bit(p, epsilon, backing):
         table = table_from_json_dict(json.loads(json.dumps(table_to_json_dict(table))))
         assert all(type(v) is float for v in table.entries.values())
     ops = [HeckeOperator(kind, 2 if kind == "T2" else p) for kind in ("T2", "H2", "H3", "H4")]
-    images = _images(ops, table)
+    images = _images(ops, _RawView(table))
     for op, image in zip(ops, images):
         assert image.k_max == table.k_max // op.norm_growth
         assert list(image.entries) == [i for i in table.indices() if i.K <= image.k_max]
@@ -479,17 +484,59 @@ def test_h3_shift_identity_fails_closed():
     assert not rep.passed and not rep.to_json_dict()["pass"]
 
 
-def test_stability_sweep_makes_no_public_evaluation(maass_table, monkeypatch):
+def test_stability_sweep_makes_no_public_evaluation(maass_table, eigen_table, monkeypatch):
+    # stability_sweep and verify_eigen_relations each read the table through
+    # exactly one raw view; extract_lambda is a public call with its own
     import mql.hecke
 
     def refuse(*args, **kwargs):
-        raise AssertionError("stability_sweep called apply")
+        raise AssertionError("a sweep called apply")
+
+    views = []
+
+    class CountedView(_RawView):
+        __slots__ = ()
+
+        def __init__(self, table):
+            views.append(table)
+            super().__init__(table)
+
+    lambda_calls = []
+    real_extract = mql.hecke.extract_lambda
+
+    def extract(table, p, tolerance=1e-9):
+        lambda_calls.append(p)
+        return real_extract(table, p, tolerance)
 
     monkeypatch.setattr(mql.hecke, "apply", refuse)
+    monkeypatch.setattr(mql.hecke, "_RawView", CountedView)
+    monkeypatch.setattr(mql.hecke, "extract_lambda", extract)
     ops = [HeckeOperator(kind, 2 if kind == "T2" else 3) for kind in ("T2", "H2", "H3", "H4")]
     reports = stability_sweep(ops, maass_table)
     assert [r.kind for r in reports] == ["T2", "H2", "H3", "H4"]
     assert reports[2].shift_checks and all(r.passed for r in reports)
+    assert len(views) == 1
+
+    table, _ = eigen_table
+    views.clear()
+    reports = verify_eigen_relations(table, (2, 3, 5))
+    assert all(r.passed for r in reports) and lambda_calls == [3, 5]
+    assert len(views) == 1 + len(lambda_calls)
+
+
+def test_hecke_reads_table_values_only_in_its_raw_view():
+    """value_at, _read and .entries appear in hecke.py only inside _RawView,
+    so one reader forms every raw coefficient the operators see."""
+    import mql.hecke
+
+    tree = ast.parse(Path(mql.hecke.__file__).read_text())
+    readers = [
+        (getattr(top, "name", None), node.attr)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("value_at", "_read", "entries")
+    ]
+    assert readers == [("_RawView", "_read")]
 
 
 def test_hecke_commutativity_sample(eigen_table):
