@@ -402,6 +402,9 @@ def _cmd_synth(args) -> int:
         form = synth_eigenform(epsilon, lams, n_max)
     except spectral_mod.MissingLambdaError as exc:
         raise CliError(exc.args[0]) from None
+    bad = next((N for N, v in form.coefficients.items() if not math.isfinite(v)), None)
+    if bad is not None:
+        raise CliError(f"the lambdas give a non-finite coefficient at N={bad}")
     payload = {
         "epsilon": epsilon,
         "n_max": n_max,

@@ -28,10 +28,11 @@ canonical index, the cached class tuples), so no wrapper object is built per
 product.  Every read of the table goes through a raw view, which forms
 sqrt(K) * a on the first read of an index and keeps it, and each public call
 makes exactly one: ``stability_sweep`` shares its view, and one list of
-representatives, across all its images and its H3 shift identities, and
-``verify_eigen_relations`` across its bases and every operator ratio.  An
-index that fails ``is_valid_index`` raises ArithmeticError instead of reading
-as zero.
+representatives, across all its images, and ``verify_eigen_relations`` across
+its bases, every operator ratio and its lambda_p ladders.  An index that fails
+``is_valid_index`` raises ArithmeticError instead of reading as zero.
+``stability_sweep`` checks each image by ``check_maass`` alone; the H3 p-power
+shift identity is its divisor-sum row at (2p^m, 0, p^l).
 
 Lookups that would pass the table bound raise TableBoundsError rather than
 zero-fill; a truncation here would silently corrupt every ratio computed
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -261,7 +262,11 @@ def extract_lambda(table: CoefficientTable, p: int, tolerance: float = 1e-9) -> 
     not divide K.  The estimates from the first eight usable bases, of which
     there must be at least three, must agree within the tolerance.
     """
-    view = _RawView(table)
+    return _ladder_lambda(_RawView(table), p, tolerance)
+
+
+def _ladder_lambda(view: _RawView, p: int, tolerance: float) -> float:
+    """extract_lambda on the viewed table."""
     usable = [(i, v) for i, v in _usable_bases(view, p) if i.u == 0 and i.n == 1]
     if len(usable) < 3:
         raise NoUsableIndexError(f"no usable index for prime {p}")
@@ -349,7 +354,7 @@ def verify_eigen_relations(table: CoefficientTable, primes, tolerance: float = 1
             relations["t2_scalar"] = rel_err(mu["T2"], expected) <= tolerance
         else:
             try:
-                lam = extract_lambda(table, p, tolerance=max(tolerance, 1e-9))
+                lam = _ladder_lambda(view, p, max(tolerance, 1e-9))
             except (NoUsableIndexError, InconsistentRatiosError):
                 relations["lambda_extracted"] = False
             else:
@@ -375,20 +380,17 @@ class StabilityReport:
     kind: str
     image_k_max: int
     maass: object
-    shift_checks: list = field(default_factory=list)
-    passed: bool = False
+    passed: bool
 
     def to_json_dict(self) -> dict:
-        worst_shift = max((r["rel_err"] for r in self.shift_checks), default=0.0)
         return {
             "prime": self.prime,
             "kind": self.kind,
             "indices_checked": self.maass.indices_checked,
-            "max_rel_err": max(self.maass.max_rel_err, worst_shift),
+            "max_rel_err": self.maass.max_rel_err,
             "pass": self.passed,
             "image_k_max": self.image_k_max,
             "maass": self.maass.to_json_dict(),
-            "shift_checks": self.shift_checks,
         }
 
 
@@ -396,9 +398,6 @@ def stability_check(
     op: HeckeOperator, table: CoefficientTable, tolerance: float = 1e-8
 ) -> StabilityReport:
     """Recompute the operator image and verify it satisfies both recurrences.
-    For H3, ``shift_checks`` also holds the residual of the shift identity
-    H3 F(2p^m, 0, p^l) = sum_{i<=l} p^i H3 F(2p^(m-2i), 0, 1), the image's
-    divisor-sum recurrence on the p-power tower, at each in-bounds m >= 2l.
 
     The input table is expected to pass check_maass already.  An image bound
     below 4 raises ValueError: no index there has u >= 1 or n > 1, so the
@@ -410,9 +409,8 @@ def stability_check(
 def stability_sweep(ops, table: CoefficientTable, tolerance: float = 1e-8) -> list:
     """stability_check for each operator in turn, as one sweep: the images
     share one raw view of the table and one list of representatives, cut at
-    each image bound.  The H3 shift identities, the image's divisor-sum
-    recurrence on the p-power tower, are evaluated through the same view on
-    the sweep's own H3 action.  An empty list of operators raises ValueError."""
+    each image bound, and each image is checked by check_maass alone.  An
+    empty list of operators raises ValueError."""
     ops = list(ops)
     if not ops:
         raise ValueError("no operator to check")
@@ -420,23 +418,10 @@ def stability_sweep(ops, table: CoefficientTable, tolerance: float = 1e-8) -> li
         bound = table.k_max // op.norm_growth
         if bound < 4:
             raise ValueError(f"{op.kind} image bound {bound} is below 4: no index to check")
-    view = _RawView(table)
     reports = []
-    for op, image in zip(ops, _images(ops, view)):
+    for op, image in zip(ops, _images(ops, _RawView(table))):
         maass = check_maass(image, tolerance)
-        shifts = []
-        if op.kind == "H3":
-            p, h3 = op.prime, _action(op, view)
-            raw = lambda K, n: h3(representative(CanonicalIndex(K, 0, n)).dc)  # noqa: E731
-            for l in (1, 2):
-                m = 2 * l
-                while (p ** (m + 2)) * 2 <= table.k_max:
-                    lhs = raw(2 * p ** m, p ** l)
-                    rhs = sum((p ** i) * raw(2 * p ** (m - 2 * i), 1) for i in range(l + 1))
-                    shifts.append({"m": m, "l": l, "rel_err": rel_err(lhs, rhs)})
-                    m += 1
-        passed = maass.passed and all(r["rel_err"] <= tolerance for r in shifts)
-        reports.append(StabilityReport(op.prime, op.kind, image.k_max, maass, shifts, passed))
+        reports.append(StabilityReport(op.prime, op.kind, image.k_max, maass, maass.passed))
     return reports
 
 

@@ -515,6 +515,8 @@ def parse_quaternion(text: str) -> HurwitzQuaternion:
         if len(pieces) != 4:
             raise ValueError(f"expected 4 components in {text!r}")
         for i, piece in enumerate(pieces):
+            if "e" in piece or "E" in piece:  # Fraction would expand it in full
+                raise ValueError(f"component {piece!r} in {text!r} is an exponent form")
             try:
                 coords[i] = Fraction(piece)
             except (ValueError, ZeroDivisionError):
@@ -528,7 +530,10 @@ def parse_quaternion(text: str) -> HurwitzQuaternion:
             if not m or (m.group(2) is None and not m.group(3)):
                 raise ValueError(f"bad term {tok!r} in {text!r}")
             sign = -1 if m.group(1) == "-" else 1
-            mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+            try:
+                mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+            except ZeroDivisionError:
+                raise ValueError(f"term {tok!r} in {text!r} has a zero denominator") from None
             coords[_AXES[m.group(3) or ""]] += sign * mag
     doubled = []
     for q in coords:

@@ -293,6 +293,14 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         (["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "131"],
          "prime 131: no usable index"),
         (["hecke", "--table", "{table}", "--primes", "131"], "usable indices at prime 131"),
+        # a zero denominator in a quaternion term
+        (["decompose", "1/0i"], "argument 1: term '1/0i' in '1/0i' has a zero denominator"),
+        (["cp-enum", "5", "--divisibility", "1/0+i"],
+         "--divisibility '1/0+i': term '1/0' in '1/0+i' has a zero denominator"),
+        # an exponent form, which Fraction(str) would expand in full
+        (["decompose", "2e200000,0,0,0"], "component '2e200000' in '2e200000,0,0,0' is an exponent form"),
+        # a synth that overflows, which no source reader would accept back
+        (["synth", "--config", "{lambda_huge}"], "non-finite coefficient at N=9"),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -329,6 +337,7 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "random_seed_float": {"n_max": 16, "random_lambdas": {"seed": 1.5}},
         "backend_xyz": {"backend": "xyz"},
         "lambdas_short": {"n_max": 16},
+        "lambda_huge": {"lambdas": {"3": 1e308, "5": 1, "7": 1, "11": 1, "13": 1}, "n_max": 16},
         "lambdas_empty": {"lambdas": {}},
         "malformed": b'{"k_max": ',
         "non_utf8": b'{"k_max": "\xff"}',
@@ -680,7 +689,7 @@ PINNED_DIGESTS = {
     "formal_maass.json": "bd40fbe55d4fc05021f4c57101a0ee42c02cf2065cf23a40836da45c6621cf5e",
     "maass.json": "1a2d6df7933b79827f014f626e02a0f016f8859ef258e52c86abf9cead566ec4",
     "source.json": "91cb48443f389dd723d552a478e3e824fa05421fec8d285b94c0010b865915da",
-    "stability.json": "f833d435d611468fb6d4dbd71005a42eb5a10bbe42a1c900e98a1107a53dfb4b",
+    "stability.json": "61991da174ec91d9092578f47757921b01f9312a3309c114f468be0157127d67",
     "table.json": "fec1285b9d032b35299c649d10f161f444f3860bd46873a4ad27b40e0abc8154",
 }
 

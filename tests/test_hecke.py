@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from mql.formal import rel_err
 from mql.hecke import (
     HeckeOperator,
     _RawView,
@@ -456,41 +455,40 @@ def shift_table():
     return random_maass_table(1, seed=41, k_max=1500)
 
 
+def shift_indices():
+    return [CanonicalIndex(2 * 3 ** m, 0, 3 ** l) for m, l in SHIFT_SHAPES]
+
+
 def test_h3_shift_identity_explicit():
-    # the sweep runs the identity at exactly the in-bounds p-power shapes, and
-    # each residual is the one the public apply gives, bit for bit
+    # the shift identity H3 F(2p^m, 0, p^l) = sum_{i<=l} p^i H3 F(2p^(m-2i), 0, 1)
+    # is the divisor-sum row of the H3 image at (2p^m, 0, p^l), so check_maass
+    # covers every in-bounds shape
     table = shift_table()
+    image = hecke_image_table(HeckeOperator("H3", 3), table)
+    assert all(idx in image.entries for idx in shift_indices())
     (rep,) = stability_sweep([HeckeOperator("H3", 3)], table)
-    assert [(r["m"], r["l"]) for r in rep.shift_checks] == SHIFT_SHAPES
-    h3 = HeckeOperator("H3", 3)
-    for r in rep.shift_checks:
-        m, l = r["m"], r["l"]
-        lhs = apply(h3, table, (2 * 3 ** m, 0, 3 ** l))
-        rhs = sum((3 ** i) * apply(h3, table, (2 * 3 ** (m - 2 * i), 0, 1)) for i in range(l + 1))
-        assert r["rel_err"] <= 1e-10
-        assert r["rel_err"].hex() == rel_err(lhs, rhs).hex(), (m, l)
-    assert rep.passed
+    assert rep.passed and rep.image_k_max == image.k_max
+    assert not set(shift_indices()) & set(rep.maass.divisor_sum_failures)
 
 
 def test_h3_shift_identity_fails_closed():
-    # H3 F(54, 0, 1) enters the rhs of shape (3, 1) alone
+    # H3 F(54, 0, 1) enters the divisor-sum row of shape (3, 1) alone, and the
+    # dyadic rows at (108, 1, n) above it
     table = shift_table()
     table.entries[(54, 0, 1)] += 1
     (rep,) = stability_sweep([HeckeOperator("H3", 3)], table)
-    errs = {(r["m"], r["l"]): r["rel_err"] for r in rep.shift_checks}
-    assert list(errs) == SHIFT_SHAPES
-    assert errs.pop((3, 1)) > 1e-8
-    assert all(err <= 1e-10 for err in errs.values())
+    assert rep.maass.divisor_sum_failures == [(54, 0, 3)] == shift_indices()[1:2]
+    assert rep.maass.dyadic_failures == [(108, 1, 1), (108, 1, 3)]
     assert not rep.passed and not rep.to_json_dict()["pass"]
 
 
 def test_stability_sweep_makes_no_public_evaluation(maass_table, eigen_table, monkeypatch):
     # stability_sweep and verify_eigen_relations each read the table through
-    # exactly one raw view; extract_lambda is a public call with its own
+    # exactly one raw view and call no public evaluator
     import mql.hecke
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a sweep called apply")
+        raise AssertionError("a sweep made a public evaluation")
 
     views = []
 
@@ -501,27 +499,21 @@ def test_stability_sweep_makes_no_public_evaluation(maass_table, eigen_table, mo
             views.append(table)
             super().__init__(table)
 
-    lambda_calls = []
-    real_extract = mql.hecke.extract_lambda
-
-    def extract(table, p, tolerance=1e-9):
-        lambda_calls.append(p)
-        return real_extract(table, p, tolerance)
-
     monkeypatch.setattr(mql.hecke, "apply", refuse)
+    monkeypatch.setattr(mql.hecke, "extract_lambda", refuse)
     monkeypatch.setattr(mql.hecke, "_RawView", CountedView)
-    monkeypatch.setattr(mql.hecke, "extract_lambda", extract)
     ops = [HeckeOperator(kind, 2 if kind == "T2" else 3) for kind in ("T2", "H2", "H3", "H4")]
     reports = stability_sweep(ops, maass_table)
     assert [r.kind for r in reports] == ["T2", "H2", "H3", "H4"]
-    assert reports[2].shift_checks and all(r.passed for r in reports)
+    assert all(r.passed for r in reports)
     assert len(views) == 1
 
-    table, _ = eigen_table
+    table, lams = eigen_table
     views.clear()
     reports = verify_eigen_relations(table, (2, 3, 5))
-    assert all(r.passed for r in reports) and lambda_calls == [3, 5]
-    assert len(views) == 1 + len(lambda_calls)
+    assert all(r.passed for r in reports)
+    assert [r.lambda_p for r in reports[1:]] == pytest.approx([lams[3], lams[5]], abs=1e-8)
+    assert len(views) == 1
 
 
 def test_hecke_reads_table_values_only_in_its_raw_view():

@@ -610,6 +610,7 @@ def test_parse_and_format_roundtrip():
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "1+q", "1/3", "1,2,3", "1..2", "i+", "1/2+1i/2", "1/2+i", "1/2,1,0,0"):
+    for text in ("", "1+q", "1/3", "1,2,3", "1..2", "i+", "1/2+1i/2", "1/2+i", "1/2,1,0,0",
+                 "1/0i", "1/0+i", "2e200000,0,0,0", "1E5,0,0,0"):
         with pytest.raises(ValueError):
             parse_quaternion(text)
