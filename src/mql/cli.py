@@ -230,7 +230,10 @@ def _cmd_decompose(args) -> int:
             idx, _ = decompose(q)
         except ValueError as exc:
             raise CliError(f"{where}: {exc}") from None
-        out_lines.append(json.dumps({"K": idx.K, "u": idx.u, "n": idx.n}, sort_keys=True))
+        try:
+            out_lines.append(json.dumps({"K": idx.K, "u": idx.u, "n": idx.n}, sort_keys=True))
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            raise CliError(f"{where}: the index K of {text!r} has too many digits") from None
     _write_text("\n".join(out_lines) + "\n", args.out)
     return 0
 

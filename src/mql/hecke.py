@@ -25,14 +25,19 @@ The public functions take and return ``HurwitzQuaternion`` values; the class
 sums themselves run on plain doubled-coordinate tuples through the private
 kernel of the quaternion module (product, exact scalar division, closed-form
 canonical index, the cached class tuples), so no wrapper object is built per
-product.  Every read of the table goes through a raw view, which forms
-sqrt(K) * a on the first read of an index and keeps it, and each public call
-makes exactly one: ``stability_sweep`` shares its view, and one list of
-representatives, across all its images, and ``verify_eigen_relations`` across
-its bases, every operator ratio and its lambda_p ladders.  An index that fails
-``is_valid_index`` raises ArithmeticError instead of reading as zero.
-``stability_sweep`` checks each image by ``check_maass`` alone; the H3 p-power
-shift identity is its divisor-sum row at (2p^m, 0, p^l).
+product.  The families divided by an odd p (the divided families of H2 and
+H4, the middle sum of H3) go through ``_divided_products``, which forms only
+the products p divides.  It skips nothing that exact division would keep,
+and a skipped product would have read as +0.0 in a sum that starts at 0, so
+the images do not change by a bit.  Every read of the table goes through a
+raw view, which forms sqrt(K) * a on the first read of an index and keeps it,
+and each public call makes exactly one: ``stability_sweep`` shares its view,
+and one list of representatives, across all its images, and
+``verify_eigen_relations`` across its bases, every operator ratio and its
+lambda_p ladders.  An index that fails ``is_valid_index`` raises
+ArithmeticError instead of reading as zero.  ``stability_sweep`` checks each
+image by ``check_maass`` alone; the H3 p-power shift identity is its
+divisor-sum row at (2p^m, 0, p^l).
 
 Lookups that would pass the table bound raise TableBoundsError rather than
 zero-fill; a truncation here would silently corrupt every ratio computed
@@ -55,9 +60,9 @@ from .quaternion import (
     HurwitzQuaternion,
     _W,
     _W_CONJ,
-    _class_products,
     _class_tuples,
     _div_scalar,
+    _divided_products,
     _in_dual_lattice,
     _lattice_index,
     _mul,
@@ -166,29 +171,28 @@ def _action(op: HeckeOperator, view: _RawView):
         # beta w^-1 = beta conj(w) / 2
         return lambda b: 2.0 * (at(_div_scalar(_mul(b, _W_CONJ), 2)) + at(_mul(b, _W)))
     p = op.prime
+    reps, conjs = _class_tuples(p)
     if op.kind in ("H2", "H4"):
         # Both mirror generators sum over the two families conj(alpha) beta
-        # and beta alpha; H4 divides the first by p, H2 the second.
-        divide_left = op.kind == "H4"
+        # and beta alpha; H4 divides the first by p, H2 the second.  A
+        # product p does not divide reads as +0.0, so it is not formed.
+        left = op.kind == "H4"
+        divided, kept = (conjs, reps) if left else (reps, conjs)
 
         def mirror(b):
-            left, right = _class_products(b, p)
-            divided, kept = (left, right) if divide_left else (right, left)
-            s1 = sum(at(_div_scalar(q, p)) for q in divided)
-            s2 = sum(at(q) for q in kept)
+            s1 = sum(map(at, _divided_products(b, divided, p, left)))
+            s2 = sum(at(_mul(b, y) if left else _mul(y, b)) for y in kept)
             return p * (s1 + s2)
 
         return mirror
-    reps, conjs = _class_tuples(p)
 
     def h3(b):
         total = p * p * at(_div_scalar(b, p))
         total += p * p * at(tuple(v * p for v in b))
         middle = 0.0
         for c in conjs:
-            a1c_beta = _mul(c, b)
-            for a2 in reps:
-                middle += at(_div_scalar(_mul(a1c_beta, a2), p))
+            for q in _divided_products(_mul(c, b), reps, p, False):
+                middle += at(q)
         return total + p * middle
 
     return h3

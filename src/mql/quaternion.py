@@ -42,11 +42,17 @@ one parity; coordinates the package computes itself, already known to lie in
 the order, are wrapped without the check by ``_wrap``.  Inside the package the
 hot loops (the Hecke operators, the divisibility sweep, unit-class orbits,
 norm enumeration, ``decompose``) run on plain ``(a, b, c, d)`` tuples of
-doubled coordinates through a small private kernel: ``_mul`` (the one copy of
-the product formula), ``_div_scalar`` (exact division by an integer, or None)
-and ``_lattice_index`` (the closed-form index above), which spares a wrapper
-object per intermediate result.  Primitivity reads the same closed form: an
-element is primitive exactly when its index is (K, 0, 1).
+doubled coordinates through a small private kernel, which spares a wrapper
+object per intermediate result: ``_mul`` (the product formula),
+``_div_scalar`` (exact division by an integer, or None), ``_divided_products``
+(the quotients by an odd p of the products of one element with a list, each
+product formed one coordinate at a time and dropped at the first coordinate p
+does not divide) and ``_lattice_index`` (the closed-form index above).
+``_divided_products`` skips nothing that ``_div_scalar`` would keep: for odd
+p, p divides a product exactly when it divides every coordinate of the raw
+convolution, and the quotient then has the product's parity.  Primitivity
+reads the same closed form: an element is primitive exactly when its index is
+(K, 0, 1).
 """
 
 from __future__ import annotations
@@ -460,6 +466,38 @@ def _class_products(b: tuple, p: int) -> tuple:
     return [_mul(c, b) for c in conjs], [_mul(b, al) for al in reps]
 
 
+def _divided_products(b: tuple, ys, p: int, left: bool) -> list:
+    """The quotients by an odd p of the products y * b (``left``) or b * y
+    over ys, keeping only those p divides, in ys order: the same tuples as
+    ``_div_scalar(_mul(.), p)`` where that is not None.
+
+    Each product is built one coordinate of the raw convolution at a time,
+    and a coordinate p does not divide ends it.  As p is odd, p divides the
+    product exactly when it divides the raw convolution, and the quotient
+    has the product's parity, so the order check of ``_div_scalar`` always
+    passes.  The two sides differ only in the sign of the cross terms.
+    """
+    e, f, g, h = b
+    sf, sg, sh = (f, g, h) if left else (-f, -g, -h)
+    p2 = 2 * p
+    out = []
+    for w, x, y, z in ys:
+        r0 = e * w - f * x - g * y - h * z
+        if r0 % p:
+            continue
+        r1 = f * w + e * x + sh * y - sg * z
+        if r1 % p:
+            continue
+        r2 = g * w - sh * x + e * y + sf * z
+        if r2 % p:
+            continue
+        r3 = h * w + sg * x - sf * y + e * z
+        if r3 % p:
+            continue
+        out.append((r0 // p2, r1 // p2, r2 // p2, r3 // p2))
+    return out
+
+
 def _divides_some(products, s: int) -> bool:
     """True when the integer s divides some product in the order."""
     return any(_div_scalar(x, s) is not None for x in products)
@@ -472,30 +510,34 @@ def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
     ``left`` counts classes alpha with p | conj(alpha) * beta and ``right``
     those with p | beta * alpha.  Both predicates are constant on right unit
     classes, so the counts do not depend on the chosen representatives; each
-    equals 1 exactly when p divides the norm of beta, else 0.
+    equals 1 exactly when p divides the norm of beta, else 0.  The counts
+    form only the products p divides (``_divided_products``).
 
     The square p^2 never divides such a product; that is enforced here and a
     violation raises, since it would be a genuine arithmetic bug.  The check
-    reads only the 2(p + 1) class products already formed for the counts, yet
-    covers the products of beta with every norm-p element alpha, on both
-    sides.  The norm-p elements are closed under conjugation and split into
-    the classes alpha_r * v with v running over the 24 units, so
-    alpha * beta = conj(v) * (conj(alpha_r) * beta) for conj(alpha) =
-    alpha_r * v, and beta * alpha = (beta * alpha_r) * v for alpha =
-    alpha_r * v.  A unit is invertible in the order, so p^2 divides a product
+    runs only when p^3 divides the norm of beta, and then reads the 2(p + 1)
+    full class products alone, yet covers the products of beta with every
+    norm-p element alpha, on both sides.  The norm-p elements are closed
+    under conjugation and split into the classes alpha_r * v with v running
+    over the 24 units, so alpha * beta = conj(v) * (conj(alpha_r) * beta)
+    for conj(alpha) = alpha_r * v, and beta * alpha = (beta * alpha_r) * v
+    for alpha = alpha_r * v.  A unit is invertible in the order, so p^2 divides a product
     with a unit factor exactly when it divides the product without it.
     """
     if _smallest_odd_prime_factor(p) != p:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not beta.is_primitive():
         raise ValueError(f"beta must be primitive, got {beta!r}")
-    lp, rp = _class_products(beta.dc, p)
-    left = sum(1 for x in lp if _div_scalar(x, p) is not None)
-    right = sum(1 for x in rp if _div_scalar(x, p) is not None)
+    b = beta.dc
+    reps, conjs = _class_tuples(p)
+    left = len(_divided_products(b, conjs, p, True))
+    right = len(_divided_products(b, reps, p, False))
     # p^2 | alpha*beta forces p^4 | nu(alpha*beta) = p*nu(beta), so a square
     # can only divide when p^3 divides nu(beta).
-    if beta.norm() % (p ** 3) == 0 and _divides_some(lp + rp, p * p):
-        raise ArithmeticError(f"p^2 divides a norm-{p} product with {beta!r}")
+    if beta.norm() % (p ** 3) == 0:
+        lp, rp = _class_products(b, p)
+        if _divides_some(lp + rp, p * p):
+            raise ArithmeticError(f"p^2 divides a norm-{p} product with {beta!r}")
     return DivisibilityCounts(left, right)
 
 
@@ -534,6 +576,8 @@ def parse_quaternion(text: str) -> HurwitzQuaternion:
                 mag = Fraction(m.group(2)) if m.group(2) else Fraction(1)
             except ZeroDivisionError:
                 raise ValueError(f"term {tok!r} in {text!r} has a zero denominator") from None
+            except ValueError:  # past the interpreter's int-to-str digit limit
+                raise ValueError(f"term {tok!r} in {text!r} has too many digits") from None
             coords[_AXES[m.group(3) or ""]] += sign * mag
     doubled = []
     for q in coords:

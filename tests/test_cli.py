@@ -175,6 +175,10 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         assert named in capsys.readouterr().err
 
 
+BIG_ELEMENT = "2" + "0" * 3000 + ",0,0,0"  # K has over 6,000 digits
+BIG_TERM = "1" * 4400 + "i"
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -301,6 +305,17 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
         (["decompose", "2e200000,0,0,0"], "component '2e200000' in '2e200000,0,0,0' is an exponent form"),
         # a synth that overflows, which no source reader would accept back
         (["synth", "--config", "{lambda_huge}"], "non-finite coefficient at N=9"),
+        # an index, or a term, past the int-to-str digit limit
+        pytest.param(
+            ["decompose", BIG_ELEMENT],
+            f"argument 1: the index K of {BIG_ELEMENT!r} has too many digits",
+            id="decompose-index-digits",
+        ),
+        pytest.param(
+            ["decompose", BIG_TERM],
+            f"argument 1: term {BIG_TERM!r} in {BIG_TERM!r} has too many digits",
+            id="decompose-term-digits",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):

@@ -15,7 +15,9 @@ from mql.quaternion import (
     HurwitzQuaternion,
     UNIFORMIZER,
     _class_products,
+    _class_tuples,
     _div_scalar,
+    _divided_products,
     _divides_some,
     _lattice_index,
     _mul,
@@ -422,6 +424,42 @@ def test_divisibility_counts_square_check_fails_closed(monkeypatch):
     monkeypatch.setattr(q, "_divides_some", lambda products, s: True)
     with pytest.raises(ArithmeticError, match="p\\^2 divides a norm-3 product"):
         divisibility_counts(sweep, 3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_divided_products_match_exact_division(p):
+    # the kernel keeps exactly the products _div_scalar keeps, with the same
+    # quotients in the same order, on every element of norm <= 60
+    reps, conjs = _class_tuples(p)
+    ys = reps + conjs
+    kept = 0
+    for m in range(1, 61):
+        for q in elements_of_norm(m):
+            b = q.dc
+            for left in (True, False):
+                products = (_mul(y, b) if left else _mul(b, y) for y in ys)
+                oracle = [d for x in products if (d := _div_scalar(x, p)) is not None]
+                assert _divided_products(b, ys, p, left) == oracle, (b, p, left)
+                kept += len(oracle)
+    assert kept > 0
+
+
+def test_divisibility_counts_forms_class_products_only_for_the_square_check(monkeypatch):
+    # the counts come from the divided products alone; the full class products
+    # are formed only for the p^2 sweep, when p^3 divides the norm
+    import mql.quaternion as q
+
+    calls = []
+    real = q._class_products
+    monkeypatch.setattr(q, "_class_products", lambda b, p: calls.append(p) or real(b, p))
+    for m in (6, 18, 30, 42, 54, 250):
+        for beta in elements_of_norm(m):
+            if beta.is_primitive():
+                for p in (3, 5, 7):
+                    before = len(calls)
+                    divisibility_counts(beta, p)
+                    assert len(calls) - before == (m % p ** 3 == 0), (beta, p)
+    assert calls
 
 
 def test_divisibility_counts_match_full_orbit_oracle():
