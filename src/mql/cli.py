@@ -330,7 +330,10 @@ def _cmd_invert(args) -> int:
 def _cmd_check_maass(args) -> int:
     cfg = _load_config(args)
     table = _load_table(args.table)
-    report = check_maass(table, float(cfg.get("tolerance", 1e-8)))
+    try:
+        report = check_maass(table, float(cfg.get("tolerance", 1e-8)))
+    except ValueError as exc:
+        raise CliError(f"{args.table}: {exc}") from None
     _dump_json(report.to_json_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -446,7 +449,10 @@ def _cmd_satake(args) -> int:
     ok = all(abs(rep["alpha_sum"]) <= 1e-10 for rep, _ in pairs)
     if args.table:
         table = _load_table(args.table)
-        cn = verify_cn_relations(table, lams, tolerance=tol)
+        try:
+            cn = verify_cn_relations(table, lams, tolerance=tol)
+        except ValueError as exc:
+            raise CliError(f"{args.table}: {exc}") from None
         payload["cn_relations"] = cn
         ok = ok and cn["pass"]
     _dump_json(payload, args.out)

@@ -252,8 +252,11 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
     Numeric backend: both are checked to the relative tolerance, and a NaN
     fails.  An exact mismatch has no finite size, so it is listed but left out
     of max_rel_err.  All indices a check refers to are below the checked index,
-    so nothing can leave the table bound here.
+    so nothing can leave the table bound here.  A bound below 4 raises
+    ValueError: no index there has u >= 1 or n > 1, so nothing would be checked.
     """
+    if table.k_max < 4:
+        raise ValueError(f"table bound {table.k_max} is below 4: no index to check")
     eps = table.epsilon
     # Fraction * float is float(Fraction) * float: a float entry takes f1, f2.
     a1, a2 = Fraction(-3 * eps, 2), Fraction(-1, 2)

@@ -30,9 +30,10 @@ enumeration of elements by reduced norm, the 24-element unit group, canonical
 representatives of the norm-p unit classes, and divisibility counts of the
 products of those representatives with a primitive element.  Both the counts
 and the check that p^2 never divides a norm-p product with a primitive
-element read the 2(p + 1) representative products alone: every norm-p
-element is a representative times a unit, and a unit is invertible in the
-order, so multiplying by it changes no divisibility by an integer.
+element read the products with the p + 1 representatives alone, on each
+side, and form only those the divisor divides: every norm-p element is a
+representative times a unit, and a unit is invertible in the order, so
+multiplying by it changes no divisibility by an integer.
 Enumeration by norm pairs up the sums of two squares from one table, so each
 element costs a lookup rather than a search.
 
@@ -45,14 +46,14 @@ norm enumeration, ``decompose``) run on plain ``(a, b, c, d)`` tuples of
 doubled coordinates through a small private kernel, which spares a wrapper
 object per intermediate result: ``_mul`` (the product formula),
 ``_div_scalar`` (exact division by an integer, or None), ``_divided_products``
-(the quotients by an odd p of the products of one element with a list, each
-product formed one coordinate at a time and dropped at the first coordinate p
-does not divide) and ``_lattice_index`` (the closed-form index above).
-``_divided_products`` skips nothing that ``_div_scalar`` would keep: for odd
-p, p divides a product exactly when it divides every coordinate of the raw
-convolution, and the quotient then has the product's parity.  Primitivity
-reads the same closed form: an element is primitive exactly when its index is
-(K, 0, 1).
+(the quotients by an odd s of the products of one element with a list, each
+product formed one coordinate at a time and dropped at the first coordinate s
+does not divide; s is a prime p or its square) and ``_lattice_index`` (the
+closed-form index above).  ``_divided_products`` skips nothing that
+``_div_scalar`` would keep: for odd s, s divides a product exactly when it
+divides every coordinate of the raw convolution, and the quotient then has
+the product's parity.  Primitivity reads the same closed form: an element is
+primitive exactly when its index is (K, 0, 1).
 """
 
 from __future__ import annotations
@@ -459,48 +460,37 @@ def _class_tuples(p: int) -> tuple:
     return reps, tuple(_conj(al) for al in reps)
 
 
-def _class_products(b: tuple, p: int) -> tuple:
-    """The products conj(alpha) * b and b * alpha over the norm-p class
-    representatives alpha, as two lists in representative order."""
-    reps, conjs = _class_tuples(p)
-    return [_mul(c, b) for c in conjs], [_mul(b, al) for al in reps]
-
-
-def _divided_products(b: tuple, ys, p: int, left: bool) -> list:
-    """The quotients by an odd p of the products y * b (``left``) or b * y
-    over ys, keeping only those p divides, in ys order: the same tuples as
-    ``_div_scalar(_mul(.), p)`` where that is not None.
+def _divided_products(b: tuple, ys, s: int, left: bool) -> list:
+    """The quotients by an odd s of the products y * b (``left``) or b * y
+    over ys, keeping only those s divides, in ys order: the same tuples as
+    ``_div_scalar(_mul(.), s)`` where that is not None.  The Hecke sums and
+    the divisibility counts divide by a prime p, the square check by p^2.
 
     Each product is built one coordinate of the raw convolution at a time,
-    and a coordinate p does not divide ends it.  As p is odd, p divides the
+    and a coordinate s does not divide ends it.  As s is odd, s divides the
     product exactly when it divides the raw convolution, and the quotient
     has the product's parity, so the order check of ``_div_scalar`` always
     passes.  The two sides differ only in the sign of the cross terms.
     """
     e, f, g, h = b
     sf, sg, sh = (f, g, h) if left else (-f, -g, -h)
-    p2 = 2 * p
+    s2 = 2 * s
     out = []
     for w, x, y, z in ys:
         r0 = e * w - f * x - g * y - h * z
-        if r0 % p:
+        if r0 % s:
             continue
         r1 = f * w + e * x + sh * y - sg * z
-        if r1 % p:
+        if r1 % s:
             continue
         r2 = g * w - sh * x + e * y + sf * z
-        if r2 % p:
+        if r2 % s:
             continue
         r3 = h * w + sg * x - sf * y + e * z
-        if r3 % p:
+        if r3 % s:
             continue
-        out.append((r0 // p2, r1 // p2, r2 // p2, r3 // p2))
+        out.append((r0 // s2, r1 // s2, r2 // s2, r3 // s2))
     return out
-
-
-def _divides_some(products, s: int) -> bool:
-    """True when the integer s divides some product in the order."""
-    return any(_div_scalar(x, s) is not None for x in products)
 
 
 def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
@@ -511,18 +501,19 @@ def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
     those with p | beta * alpha.  Both predicates are constant on right unit
     classes, so the counts do not depend on the chosen representatives; each
     equals 1 exactly when p divides the norm of beta, else 0.  The counts
-    form only the products p divides (``_divided_products``).
+    form only the products p divides (``_divided_products`` at p).
 
     The square p^2 never divides such a product; that is enforced here and a
     violation raises, since it would be a genuine arithmetic bug.  The check
-    runs only when p^3 divides the norm of beta, and then reads the 2(p + 1)
-    full class products alone, yet covers the products of beta with every
-    norm-p element alpha, on both sides.  The norm-p elements are closed
-    under conjugation and split into the classes alpha_r * v with v running
-    over the 24 units, so alpha * beta = conj(v) * (conj(alpha_r) * beta)
-    for conj(alpha) = alpha_r * v, and beta * alpha = (beta * alpha_r) * v
-    for alpha = alpha_r * v.  A unit is invertible in the order, so p^2 divides a product
-    with a unit factor exactly when it divides the product without it.
+    runs only when p^3 divides the norm of beta, and then reads the class
+    products alone (``_divided_products`` at p^2), yet covers the products
+    of beta with every norm-p element alpha, on both sides.  The norm-p
+    elements are closed under conjugation and split into the classes
+    alpha_r * v with v running over the 24 units, so alpha * beta =
+    conj(v) * (conj(alpha_r) * beta) for conj(alpha) = alpha_r * v, and
+    beta * alpha = (beta * alpha_r) * v for alpha = alpha_r * v.  A unit is
+    invertible in the order, so p^2 divides a product with a unit factor
+    exactly when it divides the product without it.
     """
     if _smallest_odd_prime_factor(p) != p:
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -535,8 +526,8 @@ def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
     # p^2 | alpha*beta forces p^4 | nu(alpha*beta) = p*nu(beta), so a square
     # can only divide when p^3 divides nu(beta).
     if beta.norm() % (p ** 3) == 0:
-        lp, rp = _class_products(b, p)
-        if _divides_some(lp + rp, p * p):
+        sq = p * p
+        if _divided_products(b, conjs, sq, True) or _divided_products(b, reps, sq, False):
             raise ArithmeticError(f"p^2 divides a norm-{p} product with {beta!r}")
     return DivisibilityCounts(left, right)
 

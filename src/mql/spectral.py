@@ -224,9 +224,18 @@ def verify_cn_relations(
     in the Maass space (exactly on formal and rational backends).  When odd
     eigenvalues are supplied the Hecke relation
     sqrt(p) c(-pN) + c(-N/p)/sqrt(p) = lambda_p c(-N) is checked as well.
-    A NaN fails either check.
+    A NaN fails either check.  A check that would cover nothing raises
+    ValueError: a bound below 4, odd eigenvalues with a formal table, or an
+    odd prime above k_max // 2.
     """
     n_max = table.k_max // 2
+    if n_max < 2:
+        raise ValueError(f"table bound {table.k_max} is below 4: no N to check doubling at")
+    primes = sorted(p for p in lambdas or () if p != 2)
+    if primes and table.backend != "numeric":
+        raise ValueError(f"lambdas at {primes} need a numeric table, not a {table.backend} one")
+    if primes and primes[-1] > n_max:
+        raise ValueError(f"lambdas prime {primes[-1]} exceeds k_max // 2 = {n_max}: no N to check")
     eps = table.epsilon
     # The eigenform-at-2 reduction makes the formal doubling check exact.  It
     # is linear and leaves numbers unchanged, so each c(-N) is reduced once.
@@ -251,29 +260,20 @@ def verify_cn_relations(
         "note": MODULUS_READING_NOTE,
     }
     hecke = {}
-    if lambdas and table.backend == "numeric":
-        for p in sorted(lambdas):
-            if p == 2:
-                continue
-            lam = lambdas[p]
-            failures = []
-            worst = 0.0
-            checked = 0
-            sq = math.sqrt(p)
-            for N in range(1, n_max // p + 1):
-                lhs = sq * float(c[p * N])
-                if N % p == 0:
-                    lhs += float(c[N // p]) / sq
-                err = rel_err(lhs, lam * float(c[N]))
-                worst = max(worst, err)
-                checked += 1
-                if not err <= tolerance:
-                    failures.append(N)
-            hecke[str(p)] = {
-                "checked": checked,
-                "failures": failures,
-                "max_rel_err": worst,
-            }
+    for p in primes:
+        lam = lambdas[p]
+        failures = []
+        worst = 0.0
+        sq = math.sqrt(p)
+        for N in range(1, n_max // p + 1):
+            lhs = sq * float(c[p * N])
+            if N % p == 0:
+                lhs += float(c[N // p]) / sq
+            err = rel_err(lhs, lam * float(c[N]))
+            worst = max(worst, err)
+            if not err <= tolerance:
+                failures.append(N)
+        hecke[str(p)] = {"checked": n_max // p, "failures": failures, "max_rel_err": worst}
     report["hecke"] = hecke
     report["pass"] = not doubling_failures and all(
         not v["failures"] for v in hecke.values()

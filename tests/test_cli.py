@@ -316,6 +316,27 @@ BIG_TERM = "1" * 4400 + "i"
             f"argument 1: term {BIG_TERM!r} in {BIG_TERM!r} has too many digits",
             id="decompose-term-digits",
         ),
+        # a satake or check-maass run that would check nothing
+        pytest.param(
+            ["satake", "--config", "{lambda_ok}", "--table", "{formal16}"],
+            "{formal16}: lambdas at [3] need a numeric table, not a formal one",
+            id="satake-formal-table",
+        ),
+        pytest.param(
+            ["satake", "--config", "{lambda_37}", "--table", "{numeric64}"],
+            "{numeric64}: lambdas prime 37 exceeds k_max // 2 = 32",
+            id="satake-prime-above-bound",
+        ),
+        pytest.param(
+            ["satake", "--config", "{lambda_ok}", "--table", "{numeric3}"],
+            "{numeric3}: table bound 3 is below 4",
+            id="satake-bound-below-4",
+        ),
+        pytest.param(
+            ["check-maass", "--table", "{formal3}"],
+            "{formal3}: table bound 3 is below 4",
+            id="check-maass-bound-below-4",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -354,6 +375,13 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         "lambdas_short": {"n_max": 16},
         "lambda_huge": {"lambdas": {"3": 1e308, "5": 1, "7": 1, "11": 1, "13": 1}, "n_max": 16},
         "lambdas_empty": {"lambdas": {}},
+        "lambda_37": {"lambdas": {"3": 1.0, "37": 1000.0}},
+        "formal16": table_to_json_dict(build_lift_table(SourceForm(1), 16)),
+        "formal3": table_to_json_dict(build_lift_table(SourceForm(1), 3)),
+        "numeric64": table_to_json_dict(
+            build_lift_table(SourceForm(1, {m: 0.5 for m in range(1, 33)}), 64)
+        ),
+        "numeric3": table_to_json_dict(build_lift_table(SourceForm(1, {1: 0.5}), 3)),
         "malformed": b'{"k_max": ',
         "non_utf8": b'{"k_max": "\xff"}',
     }

@@ -555,23 +555,39 @@ def test_adjoint_identities_pass():
 
 
 def test_adjoint_explicit_matrix():
+    # an independent reference for the entrywise report: the identities by
+    # generic matrix products, over Fraction at the odd primes and over
+    # HurwitzQuaternion at the even place
     from fractions import Fraction
 
-    p = Fraction(3)
-    w = [[Fraction(int(i + j == 3)) for j in range(4)] for i in range(4)]
-    z = [[p if i == j else Fraction(0) for j in range(4)] for i in range(4)]
-    h4inv = [[Fraction(0)] * 4 for _ in range(4)]
-    for i, v in enumerate([1 / p, 1, 1, 1]):
-        h4inv[i][i] = Fraction(v)
+    from mql.quaternion import HurwitzQuaternion
 
-    def mm(A, B):
+    def mm(A, B, zero):
         return [
-            [sum(A[i][k] * B[k][j] for k in range(4)) for j in range(4)]
-            for i in range(4)
+            [sum((A[i][k] * B[k][j] for k in range(len(B))), zero) for j in range(len(B[0]))]
+            for i in range(len(A))
         ]
 
-    lhs = mm(mm(mm(w, z), h4inv), w)
-    h2 = [[Fraction(0)] * 4 for _ in range(4)]
-    for i, v in enumerate([3, 3, 3, 1]):
-        h2[i][i] = Fraction(v)
-    assert lhs == h2
+    def diag(values, zero):
+        n = len(values)
+        return [[values[i] if i == j else zero for j in range(n)] for i in range(n)]
+
+    primes = (3, 5, 7, 11, 13)
+    checks = []
+    zero, one = Fraction(0), Fraction(1)
+    w = [[Fraction(int(i + j == 3)) for j in range(4)] for i in range(4)]
+    for p in primes:
+        z = diag([Fraction(p)] * 4, zero)
+        h = {k: diag([Fraction(p)] * (5 - k) + [one] * (k - 1), zero) for k in (2, 3, 4)}
+        hinv = {k: diag([1 / m[i][i] for i in range(4)], zero) for k, m in h.items()}
+        for a, b in ((2, 4), (3, 3), (4, 2)):
+            direct = mm(mm(mm(w, z, zero), hinv[b], zero), w, zero) == h[a]
+            integral = mm(w, z, zero) == mm(mm(h[a], w, zero), h[b], zero)
+            checks.append({"prime": p, "kind": f"adjoint h{b}->h{a}", "pass": direct and integral})
+    qzero, qone = HurwitzQuaternion(0, 0, 0, 0), HurwitzQuaternion(2, 0, 0, 0)
+    wq = [[qzero, qone], [qone, qzero]]
+    zq = diag([UNIFORMIZER, UNIFORMIZER], qzero)
+    gq = diag([UNIFORMIZER, qone], qzero)
+    integral2 = mm(wq, zq, qzero) == mm(mm(gq, wq, qzero), gq, qzero)
+    checks.append({"prime": 2, "kind": "adjoint T2->T2", "pass": integral2})
+    assert adjoint_matrix_identities(primes).to_json_dict() == {"pass": True, "checks": checks}

@@ -14,11 +14,9 @@ from mql.quaternion import (
     CanonicalIndex,
     HurwitzQuaternion,
     UNIFORMIZER,
-    _class_products,
     _class_tuples,
     _div_scalar,
     _divided_products,
-    _divides_some,
     _lattice_index,
     _mul,
     decompose,
@@ -410,18 +408,28 @@ def test_divisibility_counts_rejects_non_primitive():
 
 
 def test_divisibility_counts_square_check_fails_closed(monkeypatch):
-    # the check runs on all 2(p + 1) class products when p^3 | nu(beta), and
-    # a square dividing one of them raises
+    # the check divides by p^2 the products with all p + 1 class
+    # representatives on each side when p^3 | nu(beta), and a square dividing
+    # one of them raises
     import mql.quaternion as q
 
+    real = q._divided_products
     seen = []
-    monkeypatch.setattr(q, "_divides_some", lambda products, s: seen.append((len(products), s)))
+    monkeypatch.setattr(
+        q,
+        "_divided_products",
+        lambda b, ys, s, left: seen.append((len(ys), s, left)) or real(b, ys, s, left),
+    )
     sweep, plain = (
         next(b for b in elements_of_norm(m) if b.is_primitive()) for m in (54, 6)
     )
-    assert divisibility_counts(plain, 3) == (1, 1) and seen == []
-    assert divisibility_counts(sweep, 3) == (1, 1) and seen == [(8, 9)]
-    monkeypatch.setattr(q, "_divides_some", lambda products, s: True)
+    assert divisibility_counts(plain, 3) == (1, 1)
+    assert [call for call in seen if call[1] == 9] == []
+    assert divisibility_counts(sweep, 3) == (1, 1)
+    assert [call for call in seen if call[1] == 9] == [(4, 9, True), (4, 9, False)]
+    monkeypatch.setattr(
+        q, "_divided_products", lambda b, ys, s, left: [b] if s == 9 else real(b, ys, s, left)
+    )
     with pytest.raises(ArithmeticError, match="p\\^2 divides a norm-3 product"):
         divisibility_counts(sweep, 3)
 
@@ -445,21 +453,24 @@ def test_divided_products_match_exact_division(p):
 
 
 def test_divisibility_counts_forms_class_products_only_for_the_square_check(monkeypatch):
-    # the counts come from the divided products alone; the full class products
-    # are formed only for the p^2 sweep, when p^3 divides the norm
+    # the counts divide the class products by p; the p^2 sweep divides them
+    # by p^2, on both sides, only when p^3 divides the norm
     import mql.quaternion as q
 
     calls = []
-    real = q._class_products
-    monkeypatch.setattr(q, "_class_products", lambda b, p: calls.append(p) or real(b, p))
+    real = q._divided_products
+    monkeypatch.setattr(
+        q, "_divided_products", lambda b, ys, s, left: calls.append(s) or real(b, ys, s, left)
+    )
     for m in (6, 18, 30, 42, 54, 250):
         for beta in elements_of_norm(m):
             if beta.is_primitive():
                 for p in (3, 5, 7):
                     before = len(calls)
                     divisibility_counts(beta, p)
-                    assert len(calls) - before == (m % p ** 3 == 0), (beta, p)
-    assert calls
+                    swept = 2 * (m % p ** 3 == 0)
+                    assert calls[before:] == [p, p] + [p * p] * swept, (beta, p)
+    assert {9, 25} <= set(calls)
 
 
 def test_divisibility_counts_match_full_orbit_oracle():
@@ -495,8 +506,11 @@ def square_divides_some_norm_p_product(x, p):
 
 
 def square_divides_some_class_product(x, p):
-    lp, rp = _class_products(x, p)
-    return _divides_some(lp + rp, p * p)
+    """The sweep of divisibility_counts: p^2 divides conj(alpha)*x or x*alpha
+    for some class representative alpha."""
+    reps, conjs = _class_tuples(p)
+    sq = p * p
+    return bool(_divided_products(x, conjs, sq, True) or _divided_products(x, reps, sq, False))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
