@@ -2,11 +2,11 @@
 
 The operator action is computed literally by class enumeration: a canonical
 representative beta of the requested index is produced, the finitely many
-quaternion products the coset decomposition prescribes are formed, each
-product is canonically decomposed, and the table is read at the resulting
-indices.  Everything happens in raw (un-normalized) coefficient space
-A = sqrt(K) * a, in floating point: the eigenvalue identities carry sqrt(p)
-and sqrt(2) factors that have no place in the rational layer.
+quaternion products the coset decomposition prescribes are formed, the
+canonical index of each is found, and the table is read at those indices.
+Everything happens in raw (un-normalized) coefficient space A = sqrt(K) * a,
+in floating point: the eigenvalue identities carry sqrt(p) and sqrt(2)
+factors that have no place in the rational layer.
 
 T2 is the coset of diag(1+i, 1) at the even place; H2, H3, H4 are the three
 nontrivial generators at an odd prime p.  Writing A for the raw coefficient
@@ -23,16 +23,33 @@ trivially and are not materialized.
 
 The public functions take and return ``HurwitzQuaternion`` values; the class
 sums themselves run on plain doubled-coordinate tuples through the private
-kernel of the quaternion module (product, exact scalar division, closed-form
-canonical index, the cached class tuples), so no wrapper object is built per
-product.  The families divided by an odd p (the divided families of H2 and
-H4, the middle sum of H3) go through ``_divided_products``, which forms only
-the products p divides.  It skips nothing that exact division would keep,
-and a skipped product would have read as +0.0 in a sum that starts at 0, so
-the images do not change by a bit.  Every read of the table goes through a
-raw view, which forms sqrt(K) * a on the first read of an index and keeps it,
-and each public call makes exactly one: ``stability_sweep`` shares its view,
-and one list of representatives, across all its images, and
+kernel of the quaternion module (product, the divided products, odd content,
+the cached class tuples), so no wrapper object is built per product.  The
+families divided by an odd p (the divided families of H2 and H4, the middle
+sum of H3) go through ``_divided_products``, which forms only the products p
+divides.  It skips nothing that exact division would keep, and a skipped
+product would have read as +0.0 in a sum that starts at 0, so the images do
+not change by a bit.
+
+Each term's index is known before its product is formed, save its odd
+content.  The norm is multiplicative and p is odd, so every term of one
+family has the same norm K' and the same u' = v2(K') - 1: Kp for the kept
+products of H2 and H4, K/p for the divided ones, K/p^2, p^2 K and K for the
+three parts of H3, 2K and K/2 for T2 (u' = u + 1 and u - 1).  A point of the
+order with even norm lies in the dual lattice, and every product read has
+even norm, so none is tested for membership.  T2 and the outer terms of H3
+need no product at all: multiplying by w keeps the odd content n, beta/p
+lies in the order exactly when p | n, with content n/p, and p beta has
+content p n.  At u = 0, beta w^-1 has odd norm K/2, lies off the dual
+lattice and reads as zero, so it is not read.  Each family is summed by the
+view's ``add``, one term at a time into a running float, in the order the
+terms were listed; the H3 middle sum threads a single float through all its
+families, so no sum is regrouped.
+
+Every read of the table goes through a raw view, which forms
+float(a) * sqrt(K) on the first read of an index and keeps it, and each
+public call makes exactly one: ``stability_sweep`` shares its view, and one
+list of representatives, across all its images, and
 ``verify_eigen_relations`` across its bases, every operator ratio and its
 lambda_p ladders.  An index that fails ``is_valid_index`` raises
 ArithmeticError instead of reading as zero.  ``stability_sweep`` checks each
@@ -57,13 +74,10 @@ from .lift import CoefficientTable, TableBoundsError, check_maass, valid_indices
 from .quaternion import (
     CanonicalIndex,
     _W,
-    _W_CONJ,
     _class_tuples,
-    _div_scalar,
     _divided_products,
-    _in_dual_lattice,
-    _lattice_index,
     _mul,
+    _odd_content,
     _smallest_odd_prime_factor,
     decompose,
     is_valid_index,
@@ -127,9 +141,9 @@ class _RawView:
     of its index and kept for the later reads; the only reader of table values
     in this module.
 
-    The value is table._read(key) * sqrt(K) as for a single lookup: a
-    Fraction entry meets the float factor as float(entry), so the bits do not
-    depend on the memo, and a formal entry raises TypeError.  The index is
+    The value is float(table._read(key)) * sqrt(K), the bits a single lookup
+    gives (a Fraction entry times a float is float(entry) times it), so they
+    do not depend on the memo; a formal entry raises TypeError.  The index is
     checked with is_valid_index on its first read only; bounds go through
     ``_read``, so a lookup past the table raises TableBoundsError.
     """
@@ -146,28 +160,35 @@ class _RawView:
         if value is None:
             if not is_valid_index(*key):
                 raise ArithmeticError(f"index {tuple(key)} is not valid")
-            value = self._seen[key] = self.table._read(key) * math.sqrt(key[0])
+            value = self._seen[key] = float(self.table._read(key)) * math.sqrt(key[0])
         return value
 
-    def at(self, q: Optional[tuple]) -> float:
-        """The coefficient at a point in doubled coordinates; zero off the
-        dual lattice.
-
-        An exact division can land in the order yet outside the dual lattice
-        (odd norm); the coefficient function vanishes there.
-        """
-        if q is None or not _in_dual_lattice(q):
-            return 0.0
-        return self.raw(_lattice_index(q))
+    def add(self, total: float, K: int, u: int, qs) -> float:
+        """total plus the coefficients at the points qs, in doubled
+        coordinates, added one at a time in order.  Every point must lie in
+        the dual lattice with norm K and 2-adic index u, so only its odd
+        content is read off it."""
+        raw = self.raw
+        for q in qs:
+            total += raw((K, u, _odd_content(q)))
+        return total
 
 
 def _action(op: HeckeOperator, view: _RawView):
-    """The operator as a function from a representative's doubled coordinates
-    to the raw image coefficient, reading the source through ``view``."""
-    at = view.at
+    """The operator as a function act(idx, b) from an index and the doubled
+    coordinates b of a representative of it to the raw image coefficient,
+    reading the source through ``view``."""
+    raw, add = view.raw, view.add
     if op.kind == "T2":
-        # beta w^-1 = beta conj(w) / 2
-        return lambda b: 2.0 * (at(_div_scalar(_mul(b, _W_CONJ), 2)) + at(_mul(b, _W)))
+        # beta w has index (2K, u + 1, n), and beta w^-1 = beta conj(w) / 2
+        # has (K/2, u - 1, n) for u >= 1: multiplying by w keeps the odd
+        # content.  At u = 0 its norm K/2 is odd, off the dual lattice.
+        def t2(idx, b):
+            K, u, n = idx
+            down = raw((K // 2, u - 1, n)) if u else 0.0
+            return 2.0 * (down + raw((2 * K, u + 1, n)))
+
+        return t2
     p = op.prime
     reps, conjs = _class_tuples(p)
     if op.kind in ("H2", "H4"):
@@ -177,20 +198,23 @@ def _action(op: HeckeOperator, view: _RawView):
         left = op.kind == "H4"
         divided, kept = (conjs, reps) if left else (reps, conjs)
 
-        def mirror(b):
-            s1 = sum(map(at, _divided_products(b, divided, p, left)))
-            s2 = sum(at(_mul(b, y) if left else _mul(y, b)) for y in kept)
+        def mirror(idx, b):
+            K, u, _ = idx
+            s1 = add(0.0, K // p, u, _divided_products(b, divided, p, left))
+            s2 = add(0.0, K * p, u, [_mul(b, y) if left else _mul(y, b) for y in kept])
             return p * (s1 + s2)
 
         return mirror
 
-    def h3(b):
-        total = p * p * at(_div_scalar(b, p))
-        total += p * p * at(tuple(v * p for v in b))
+    def h3(idx, b):
+        # beta/p lies in the order exactly when p | n, at (K/p^2, u, n/p);
+        # p beta is at (p^2 K, u, p n).  The middle sum threads one float.
+        K, u, n = idx
+        total = p * p * (raw((K // (p * p), u, n // p)) if n % p == 0 else 0.0)
+        total += p * p * raw((p * p * K, u, p * n))
         middle = 0.0
         for c in conjs:
-            for q in _divided_products(_mul(c, b), reps, p, False):
-                middle += at(q)
+            middle = add(middle, K, u, _divided_products(_mul(c, b), reps, p, False))
         return total + p * middle
 
     return h3
@@ -201,7 +225,11 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
 
     A canonical representative of the index is used unless ``beta`` (any
     representative of the same index) is supplied; the output is a function of
-    the index alone.
+    the index alone.  An index whose closure passes the table bound raises
+    TableBoundsError before any class is enumerated, naming an index of
+    norm K * norm_growth that the image reads: beta w for T2, p beta for H3,
+    and for H2 and H4 (K p, u, n), which all kept class products but at most
+    one read.
     """
     idx = CanonicalIndex(*index)
     if not is_valid_index(*idx):
@@ -212,8 +240,17 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
         )
     if beta is not None and decompose(beta)[0] != idx:
         raise ValueError(f"beta {beta!r} does not represent index {tuple(idx)}")
+    K, u, n = idx
+    if K * op.norm_growth > table.k_max:
+        if op.kind == "T2":
+            u += 1
+        elif op.kind == "H3":
+            n *= op.prime
+        raise TableBoundsError(
+            f"index ({K * op.norm_growth},{u},{n}) exceeds table bound K_max={table.k_max}"
+        )
     b = (representative(idx) if beta is None else beta).dc
-    return _action(op, _RawView(table))(b)
+    return _action(op, _RawView(table))(idx, b)
 
 
 def _images(ops, view: _RawView) -> list:
@@ -227,7 +264,7 @@ def _images(ops, view: _RawView) -> list:
     for op, bound in zip(ops, bounds):
         act = _action(op, view)
         entries = {
-            idx: act(b) / math.sqrt(idx.K)
+            idx: act(idx, b) / math.sqrt(idx.K)
             for idx, b in reps[: bisect_right(reps, bound, key=lambda r: r[0].K)]
         }
         images.append(CoefficientTable(table.epsilon, bound, entries, "numeric"))
@@ -341,12 +378,12 @@ def verify_eigen_relations(table: CoefficientTable, primes, tolerance: float = 1
         usable = _usable_bases(view, max(op.norm_growth for op in ops))
         if len(usable) < 10:
             raise NoUsableIndexError(f"only {len(usable)} usable indices at prime {p}, need 10")
-        sel = [(representative(i).dc, v) for i, v in usable[:12]]
+        sel = [(i, representative(i).dc, v) for i, v in usable[:12]]
         mu = {}
         max_err = 0.0
         for op in ops:
             act = _action(op, view)
-            ratios = [act(b) / v for b, v in sel]
+            ratios = [act(i, b) / v for i, b, v in sel]
             mu[op.kind], err = _fit_ratio(ratios)
             max_err = max(max_err, err)
         relations = {"constant": max_err <= tolerance}

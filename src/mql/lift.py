@@ -18,7 +18,7 @@ and the odd recurrence loses its divisor weights:
 
 Both hold on the lift of a source that is an eigenform at 2, with
 C(2M) = (-epsilon/2) C(M); random_maass_table is such a lift.  A source of
-ints and Fractions lifts exactly, a float source to floats.
+ints and Fractions lifts exactly, any other source to floats.
 
 Presentation layers (the Hecke engine in particular) multiply by sqrt(K) to
 recover raw coefficients.  Entries at invalid indices, or with u < 0, read as
@@ -41,9 +41,9 @@ from typing import Optional
 
 from .formal import (
     FormalCoefficient,
+    UnassignedSymbolError,
     _value_json,
     combine,
-    evaluate,
     formal_from_json_obj,
     formal_to_json_obj,
     reduce_eigen2,
@@ -154,37 +154,77 @@ def lift_coefficient(index, epsilon: int) -> FormalCoefficient:
         raise ValueError(f"invalid index {(K, u, n)}")
     if epsilon not in (1, -1):
         raise ValueError(f"epsilon must be +-1, got {epsilon}")
-    return _lift_terms(K, u, n, epsilon)
+    h = K // ((2 << u) * n * n)  # m/2 for K = 2**u n**2 m
+    terms = _block_terms(u, n, epsilon)
+    return FormalCoefficient._from_numerators({c * h: s for c, s in terms})
 
 
-def _lift_terms(K: int, u: int, n: int, epsilon: int) -> FormalCoefficient:
-    """lift_coefficient without its checks, for indices and signs known valid."""
-    # As K = 2**(u+1) * n**2 * odd, each quotient is exact and each (t, d)
-    # gives a distinct symbol.
-    divisors = _odd_divisors(n)
-    terms = {}
-    for t in range(u + 1):
-        sign = (-epsilon) ** t
-        for d in divisors:
-            terms[K // ((2 << t) * d * d)] = sign
-    return FormalCoefficient._from_numerators(terms)
+def _block_terms(u: int, n: int, epsilon: int) -> list:
+    """The terms (c, sign) of the lift at the indices (2**u n**2 m, u, n),
+    m = 2 mod 4, by ascending c, which is ascending symbol order: the entry
+    is sum sign * C(c * m/2), one term per t <= u and d | n, with
+    c = 2**(u-t) * (n/d)**2 and sign (-epsilon)**t.  As
+    K / (2**(t+1) d**2) = c * m/2, each symbol is an integer, and each
+    (t, d) gives a distinct one."""
+    base = (1 << u) * n * n
+    return sorted(
+        ((base >> t) // (d * d), (-epsilon) ** t)
+        for t in range(u + 1)
+        for d in _odd_divisors(n)
+    )
+
+
+def _lift_entries(k_max: int, epsilon: int, values, den) -> dict:
+    """The entries of the lift at every valid index with K <= k_max, keyed
+    and inserted in sorted index order, filled one index block at a time,
+    each block's _block_terms listed once.
+
+    With values None the entries are symbol sums.  Otherwise every symbol
+    must have a value: with den an int, values are int numerators over den,
+    summed exactly into one Fraction(total, den) per entry; with den None
+    each term float(sign) * value is added to 0.0 in ascending symbol order,
+    the sum evaluate forms.
+    """
+    pairs = []
+    for u, n, base, ms in _index_blocks(k_max):
+        terms = _block_terms(u, n, epsilon)
+        halves = range(1, 2 * len(ms), 2)  # m // 2 for m in ms
+        if values is None:
+            column = [
+                FormalCoefficient._from_numerators({c * h: s for c, s in terms})
+                for h in halves
+            ]
+        else:
+            column = [0 if den else 0.0] * len(ms)
+            for c, s in terms:
+                w = s if den else float(s)
+                column = [x + w * values[c * h] for x, h in zip(column, halves)]
+            if den:
+                column = [Fraction(x, den) for x in column]
+        pairs.extend(zip([CanonicalIndex(base * m, u, n) for m in ms], column))
+    return dict(sorted(pairs))  # the keys are distinct, so no value is compared
 
 
 def build_lift_table(source: SourceForm, k_max: int) -> CoefficientTable:
-    """Lift a source form to a table over all valid indices with K <= k_max;
-    int and Fraction values lift exactly, to Fraction entries."""
+    """Lift a source form to a table over all valid indices with K <= k_max.
+
+    A source of ints and Fractions lifts exactly, to Fraction entries summed
+    on int numerators over one common denominator; any other source lifts to
+    float entries, each the float sum that evaluate(lift_coefficient(idx,
+    epsilon), values) forms.  A numeric source needs a value at every symbol
+    C(1) .. C(k_max // 2), which is every symbol the table reads; the
+    smallest one missing raises UnassignedSymbolError.
+    """
     values, den = source.values, None
-    if values is not None and all(isinstance(v, (int, Fraction)) for v in values.values()):
-        # Linearity: lift int numerators over one denominator, one Fraction per entry.
-        den = math.lcm(*(v.denominator for v in values.values()))
-        values = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
-    entries = {}
-    # SourceForm has checked epsilon, and valid_indices yields valid indices.
-    for idx in valid_indices(k_max):
-        value = _lift_terms(*idx, source.epsilon)
-        if values is not None:
-            value = evaluate(value, values)
-        entries[idx] = value if den is None else Fraction(value, den)
+    if values is not None:
+        missing = next((M for M in range(1, k_max // 2 + 1) if M not in values), None)
+        if missing is not None:
+            raise UnassignedSymbolError(f"unassigned symbol {missing}")
+        if all(isinstance(v, (int, Fraction)) for v in values.values()):
+            # Linearity: lift int numerators over one denominator.
+            den = math.lcm(*(v.denominator for v in values.values()))
+            values = {m: v.numerator * (den // v.denominator) for m, v in values.items()}
+    entries = _lift_entries(k_max, source.epsilon, values, den)
     backend = "formal" if values is None else "numeric"
     return CoefficientTable(source.epsilon, k_max, entries, backend)
 
@@ -298,18 +338,25 @@ def random_maass_table(epsilon: int, seed: int, k_max: int) -> CoefficientTable:
     """The exact lift of a random rational source that is an eigenform at 2.
 
     The free values a(m, 0, 1) = C(m/2), m = 2 mod 4, are drawn in ascending
-    m, deterministically for a fixed seed; the even coefficients follow from
-    C(2M) = (-epsilon/2) C(M), so the table passes check_maass exactly.
+    m, deterministically for a fixed seed, as Fraction(randint(-999, 999),
+    randint(1, 24)); the even coefficients follow from
+    C(2M) = (-epsilon/2) C(M), so the table passes check_maass exactly.  The
+    source is held as int numerators over den = lcm(1..24) * 2**top, 2**top
+    the largest power of two up to k_max // 2, so that every halving is an
+    exact shift, and lifted as build_lift_table lifts it.
     """
+    if epsilon not in (1, -1):
+        raise ValueError(f"epsilon must be +-1, got {epsilon}")
     rng = random.Random(seed)
-    source = {
-        m // 2: Fraction(rng.randint(-999, 999), rng.randint(1, 24))
+    top = max(k_max // 2, 1).bit_length() - 1
+    den = math.lcm(*range(1, 25)) << top
+    num = {
+        m // 2: rng.randint(-999, 999) * (den // rng.randint(1, 24))
         for m in range(2, k_max + 1, 4)
     }
-    half = Fraction(-epsilon, 2)
     for N in range(2, k_max // 2 + 1, 2):
-        source[N] = half * source[N // 2]
-    return build_lift_table(SourceForm(epsilon, source), k_max)
+        num[N] = -epsilon * num[N // 2] >> 1
+    return CoefficientTable(epsilon, k_max, _lift_entries(k_max, epsilon, num, den), "numeric")
 
 
 def table_to_json_dict(table: CoefficientTable) -> dict:

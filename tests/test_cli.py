@@ -608,6 +608,23 @@ def test_hecke_rejects_formal_table(tmp_path, capsys):
     assert "formal table" in capsys.readouterr().err
 
 
+def test_apply_exits_2_at_a_huge_prime_without_enumerating(numeric_table, capsys, monkeypatch):
+    # the norm-9999991 classes would take longer than any test should run;
+    # the image's closure (2 * 9999991, 0, 1) already passes the bound
+    import mql.hecke
+
+    def refuse(p):
+        raise AssertionError(f"enumerated the norm-{p} classes")
+
+    monkeypatch.setattr(mql.hecke, "_class_tuples", refuse)
+    capsys.readouterr()
+    argv = ["hecke", "--table", str(numeric_table), "--mode", "apply", "--kind", "H2",
+            "--index", "2,0,1", "--prime", "9999991"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "--index 2,0,1: index (19999982,0,1) exceeds table bound K_max=256" in err
+
+
 def test_lift_rejects_short_source(tmp_path, synth_config, capsys):
     source = tmp_path / "source.json"
     assert run_cli(["synth", "--config", str(synth_config), "--out", str(source)]) == 0
@@ -647,11 +664,13 @@ def test_readme_library_sketch_runs(capsys):
 
 
 #: Public operations no subcommand calls: helpers the library offers its own callers.
-#: build_lift_table forms its entries through the unchecked body of lift_coefficient;
-#: lift writes its table file from row templates, not from table_to_json_dict's rows;
-#: stability runs stability_sweep, of which the two hecke names are one-operator calls.
+#: build_lift_table and random_maass_table fill their entries one index block at a
+#: time, with no per-index lift_coefficient or evaluate; lift writes its table file
+#: from row templates, not from table_to_json_dict's rows; stability runs
+#: stability_sweep, of which the two hecke names are one-operator calls.
 LIBRARY_ONLY = {
     "quaternion.exact_divide",
+    "formal.evaluate",
     "lift.lift_coefficient",
     "lift.table_to_json_dict",
     "hecke.hecke_image_table",

@@ -12,6 +12,7 @@ import pytest
 from mql.hecke import (
     HeckeOperator,
     _RawView,
+    _action,
     _fit_ratio,
     _images,
     _usable_bases,
@@ -33,10 +34,18 @@ from mql.lift import (
     random_maass_table,
     table_from_json_dict,
     table_to_json_dict,
+    valid_indices,
 )
 from mql.quaternion import (
     UNIFORMIZER,
     CanonicalIndex,
+    _W,
+    _W_CONJ,
+    _div_scalar,
+    _in_dual_lattice,
+    _lattice_index,
+    _mul,
+    _odd_content,
     decompose,
     elements_of_norm,
     exact_divide,
@@ -273,9 +282,116 @@ def test_apply_matches_quaternion_reference():
 def test_invalid_closed_form_index_raises(maass_table, monkeypatch):
     import mql.hecke
 
-    monkeypatch.setattr(mql.hecke, "_lattice_index", lambda q: (4, 0, 1))
+    # a wrong odd content n = 3 makes the kept product index (6, 0, 3) invalid
+    monkeypatch.setattr(mql.hecke, "_odd_content", lambda q: 3)
     with pytest.raises(ArithmeticError):
         apply(HeckeOperator("H2", 3), maass_table, (2, 0, 1))
+
+
+def test_class_sum_products_lie_at_their_known_index():
+    # every product a class sum reads lies in the dual lattice at the norm K'
+    # and 2-adic index u' its family fixes, with the odd content read off it
+    families = []
+
+    class RecordingView(_RawView):
+        __slots__ = ()
+
+        def add(self, total, K, u, qs):
+            qs = list(qs)
+            families.append((K, u, qs))
+            return super().add(total, K, u, qs)
+
+    table = random_maass_table(1, seed=18, k_max=2048)
+    checked = 0
+    for p in (3, 5, 7):
+        for kind in ("H2", "H3", "H4"):
+            op = HeckeOperator(kind, p)
+            act = _action(op, RecordingView(table))
+            for idx in valid_indices(table.k_max // op.norm_growth):
+                families.clear()
+                act(idx, representative(idx).dc)
+                norms = [K for K, _, _ in families]
+                if kind == "H3":
+                    assert norms == [idx.K] * (p + 1)
+                else:
+                    assert norms == [idx.K // p, idx.K * p]
+                    assert len(families[1][2]) == p + 1
+                for K, u, qs in families:
+                    assert u == idx.u
+                    for q in qs:
+                        assert _in_dual_lattice(q), (kind, p, idx, q)
+                        assert _lattice_index(q) == (K, u, _odd_content(q)), (kind, p, idx, q)
+                        checked += 1
+    assert checked > 10_000
+
+
+def representatives_up_to(k_max, extra_norm=60):
+    """(index, doubled coordinates) of every canonical representative with
+    K <= k_max, and of every dual-lattice element of norm <= extra_norm."""
+    out = [(idx, representative(idx).dc) for idx in valid_indices(k_max)]
+    for m in range(2, extra_norm + 1, 2):
+        for q in elements_of_norm(m):
+            if q.in_dual_lattice():
+                out.append((decompose(q)[0], q.dc))
+    return out
+
+
+def test_t2_and_h3_outer_terms_at_their_closed_form_index():
+    # T2 and the outer H3 terms read (2K, u+1, n), (K/2, u-1, n) for u >= 1,
+    # (K/p^2, u, n/p) when p | n and (p^2 K, u, p n) without forming a product
+    for (K, u, n), b in representatives_up_to(1024):
+        up = _mul(b, _W)
+        assert _in_dual_lattice(up) and _lattice_index(up) == (2 * K, u + 1, n)
+        down = _div_scalar(_mul(b, _W_CONJ), 2)
+        if u:
+            assert down is not None and _in_dual_lattice(down)
+            assert _lattice_index(down) == (K // 2, u - 1, n)
+        else:
+            assert down is None or not _in_dual_lattice(down)
+    for p in (3, 5, 7):
+        for (K, u, n), b in representatives_up_to(2048 // (p * p)):
+            q = _div_scalar(b, p)
+            assert (q is not None) == (n % p == 0)
+            if q is not None:
+                assert _in_dual_lattice(q) and _lattice_index(q) == (K // (p * p), u, n // p)
+            assert _lattice_index(tuple(p * v for v in b)) == (p * p * K, u, p * n)
+
+
+def test_apply_checks_the_closure_bound_before_the_classes(monkeypatch):
+    import mql.hecke
+
+    table = random_maass_table(1, seed=3, k_max=300)
+    # T2 and H3 name the index whose read would fail first; H2 and H4 an
+    # index of norm pK their kept products read
+    for p in (3, 5, 7):
+        for kind in ("T2", "H2", "H3", "H4"):
+            op = HeckeOperator(kind, 2 if kind == "T2" else p)
+            g = op.norm_growth
+            for idx in table.indices():
+                K, u, n = idx
+                if K * g <= table.k_max:
+                    continue
+                far = {"T2": (2 * K, u + 1, n), "H3": (g * K, u, p * n)}.get(kind, (g * K, u, n))
+                with pytest.raises(TableBoundsError) as info:
+                    apply(op, table, idx)
+                assert str(info.value) == "index ({},{},{}) exceeds table bound K_max=300".format(*far)
+                if kind in ("T2", "H3"):
+                    with pytest.raises(TableBoundsError) as first:
+                        _action(op, _RawView(table))(idx, representative(idx).dc)
+                    assert str(first.value) == str(info.value)
+
+    def refuse(p):
+        raise AssertionError(f"enumerated the norm-{p} classes")
+
+    monkeypatch.setattr(mql.hecke, "_class_tuples", refuse)
+    p = 9999991
+    for kind, idx, far in (
+        ("H2", (2, 0, 1), (2 * p, 0, 1)),
+        ("H4", (6, 0, 1), (6 * p, 0, 1)),
+        ("H3", (18, 0, 3), (18 * p * p, 0, 3 * p)),
+    ):
+        with pytest.raises(TableBoundsError, match=r"index \({},{},{}\) exceeds".format(*far)):
+            apply(HeckeOperator(kind, p), table, idx)
 
 
 # -------------------------------------------------- representative invariance
@@ -340,12 +456,12 @@ def test_nan_ratio_fails_eigen_relations(eigen_table, monkeypatch):
     import mql.hecke
 
     table, _ = eigen_table
-    target = representative(_usable_bases(_RawView(table), 9)[1][0]).dc
+    target = _usable_bases(_RawView(table), 9)[1][0]
     real_action = mql.hecke._action
 
     def action(op, view):
         act = real_action(op, view)
-        return lambda b: math.nan if b == target else act(b)
+        return lambda idx, b: math.nan if idx == target else act(idx, b)
 
     monkeypatch.setattr(mql.hecke, "_action", action)
     (report,) = verify_eigen_relations(table, (3,))
@@ -416,7 +532,7 @@ def test_sweep_images_match_apply_bit_for_bit(p, epsilon, backing):
 def test_sweep_invalid_closed_form_index_raises(maass_table, monkeypatch):
     import mql.hecke
 
-    monkeypatch.setattr(mql.hecke, "_lattice_index", lambda q: (4, 0, 1))
+    monkeypatch.setattr(mql.hecke, "_odd_content", lambda q: 3)
     with pytest.raises(ArithmeticError):
         stability_sweep([HeckeOperator("T2", 2), HeckeOperator("H2", 3)], maass_table)
     with pytest.raises(ArithmeticError):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mql.formal import FormalCoefficient, evaluate, reduce_eigen2
+from mql.formal import FormalCoefficient, UnassignedSymbolError, evaluate, reduce_eigen2
 from mql.lift import (
     SourceForm,
     TableBoundsError,
@@ -100,6 +100,43 @@ def test_lift_depends_only_on_index():
             idx, _ = decompose(q)
             direct = evaluate(lift_coefficient(idx, 1), values)
             assert float(table.value_at(*idx)) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_block_lift_matches_per_index_evaluation(eps):
+    # the block lift against evaluate(lift_coefficient(idx, eps), values),
+    # index by index: exactly for int and Fraction sources, bit for bit for
+    # floats, symbol for symbol for the formal backend
+    rng = random.Random(30 + eps)
+    k_max = 2048
+    half = range(1, k_max // 2 + 1)
+    sources = {
+        "int": {m: rng.randint(-99, 99) for m in half},
+        "fraction": {m: Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for m in half},
+        "float": {m: rng.uniform(-2, 2) for m in half},
+    }
+    for bound in (0, 1, 2, 3, 6, 64, 100, k_max):
+        formal = build_lift_table(SourceForm(eps), bound)
+        assert list(formal.entries) == valid_indices(bound)
+        for idx, value in formal.entries.items():
+            assert value == lift_coefficient(idx, eps)
+        for kind, values in sources.items():
+            table = build_lift_table(SourceForm(eps, values), bound)
+            assert list(table.entries) == valid_indices(bound)
+            for idx, value in table.entries.items():
+                expect = evaluate(lift_coefficient(idx, eps), values)
+                if kind == "float":
+                    assert value.hex() == expect.hex(), (kind, idx)
+                else:
+                    assert type(value) is Fraction and value == expect, (kind, idx)
+
+
+def test_build_lift_table_names_the_smallest_missing_symbol():
+    values = {m: 0.5 for m in range(1, 33) if m not in (7, 9)}
+    for bound in (14, 15, 64):
+        with pytest.raises(UnassignedSymbolError, match="unassigned symbol 7"):
+            build_lift_table(SourceForm(1, values), bound)
+    assert len(build_lift_table(SourceForm(1, values), 13).entries) == len(valid_indices(13))
 
 
 def test_value_at_conventions():
@@ -209,6 +246,28 @@ def test_random_maass_table_passes_exactly():
         t = random_maass_table(eps, seed=9, k_max=512)
         rep = check_maass(t)
         assert rep.passed and rep.max_rel_err == 0.0
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 3, 6, 7, 64, 1000, 2048])
+def test_random_maass_table_is_the_lift_of_its_fraction_source(k_max):
+    # the same draws as a Fraction source, C(2M) = (-eps/2) C(M) applied in
+    # Fractions, lifted by build_lift_table.  A short power of two in the
+    # integer denominator shows only when C(1) draws the denominator 16, so
+    # small bounds run over enough seeds to draw it.
+    seeds = range(60) if k_max <= 64 else (11, 12)
+    for eps, seed in ((1 - 2 * (s % 2), s) for s in seeds):
+        rng = random.Random(seed)
+        source = {
+            m // 2: Fraction(rng.randint(-999, 999), rng.randint(1, 24))
+            for m in range(2, k_max + 1, 4)
+        }
+        for N in range(2, k_max // 2 + 1, 2):
+            source[N] = Fraction(-eps, 2) * source[N // 2]
+        expect = build_lift_table(SourceForm(eps, source), k_max)
+        table = random_maass_table(eps, seed, k_max)
+        assert (table.epsilon, table.k_max, table.backend) == (eps, k_max, "numeric")
+        assert list(table.entries.items()) == list(expect.entries.items())
+        assert all(type(v) is Fraction for v in table.entries.values())
 
 
 def test_random_maass_table_deterministic():
