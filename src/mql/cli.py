@@ -346,6 +346,14 @@ def _parse_index(text):
         raise CliError(f"bad index {text!r}: expected K,u,n") from None
 
 
+def _check_prime_bound(what: str, p: int, k_max: int) -> None:
+    """Reject a prime no operator index fits under: an image at K reads an
+    index of norm at least K p, and K >= 2.  This runs before the primality
+    test, whose trial division grows as sqrt(p)."""
+    if 2 * p > k_max:
+        raise CliError(f"{what}: 2p exceeds the table bound k_max={k_max}, so no index applies")
+
+
 def _cmd_hecke(args) -> int:
     ignored = ["--primes"] if args.mode == "apply" else ["--kind", "--prime", "--index"]
     if args.mode != "eigen":
@@ -365,6 +373,7 @@ def _cmd_hecke(args) -> int:
         if not args.kind or not args.index:
             raise CliError("apply mode needs --kind and at least one --index")
         prime = (2 if args.kind == "T2" else 3) if args.prime is None else args.prime
+        _check_prime_bound(f"--prime {prime}", prime, table.k_max)
         try:
             op = HeckeOperator(args.kind, prime)
         except ValueError as exc:
@@ -467,6 +476,8 @@ def _cmd_stability(args) -> int:
     seed = int(cfg.get("seed", 0))
     prime = int(cfg.get("prime", 3))
     kinds = cfg.get("kinds", ["T2", "H2", "H3", "H4"])
+    if any(kind != "T2" for kind in kinds):
+        _check_prime_bound(f"config prime {prime}", prime, k_max)
     try:
         ops = [HeckeOperator(kind, 2 if kind == "T2" else prime) for kind in kinds]
     except ValueError as exc:

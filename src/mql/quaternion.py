@@ -34,8 +34,13 @@ element read the products with the p + 1 representatives alone, on each
 side, and form only those the divisor divides: every norm-p element is a
 representative times a unit, and a unit is invertible in the order, so
 multiplying by it changes no divisibility by an integer.
-Enumeration by norm pairs up the sums of two squares from one table, so each
-element costs a lookup rather than a search.
+Enumeration by norm (``_norm_tuples``) pairs up the sums of two squares from
+one table, so each element costs a lookup rather than a search, and yields
+plain tuples; ``elements_of_norm`` wraps and caches them for the public API.
+The unit classes are found on those tuples: a class's representative is the
+least member of its orbit under the 24 units, and a closed-form test on the
+coordinates picks out the few elements that can be one, so only those build
+their orbit and only the p + 1 representatives are wrapped.
 
 ``HurwitzQuaternion`` is the boundary type: every public function takes and
 returns it.  Its constructor always checks that the doubled coordinates share
@@ -267,10 +272,13 @@ def _odd_content(x: tuple) -> int:
 
 def _lattice_index(x: tuple) -> tuple:
     """The canonical index (K, u, n) of a nonzero dual-lattice point, in
-    closed form (see the module docstring)."""
+    closed form (see the module docstring).  n is ``_odd_content(x)``,
+    written out here because every decomposition and primitivity test
+    runs this."""
     a, b, c, d = x
     K = (a * a + b * b + c * c + d * d) // 4
-    return (K, (K & -K).bit_length() - 2, _odd_content(x))
+    g = gcd(a, b, c, d)
+    return (K, (K & -K).bit_length() - 2, g // (g & -g))
 
 
 class CanonicalIndex(NamedTuple):
@@ -303,9 +311,9 @@ def is_valid_index(K: int, u: int, n: int) -> bool:
     return (K // den) % 4 == 2
 
 
-@lru_cache(maxsize=None)
-def elements_of_norm(m: int) -> tuple:
-    """All order elements of reduced norm m, sorted by doubled coordinates.
+def _norm_tuples(m: int) -> list:
+    """The doubled coordinates of all order elements of reduced norm m, as a
+    sorted list of tuples.
 
     The doubled coordinates (a, b, c, d) share one parity and have
     a^2 + b^2 + c^2 + d^2 = 4m.  One table maps each sum x^2 + y^2 <= 4m of an
@@ -333,7 +341,14 @@ def elements_of_norm(m: int) -> tuple:
         for cd in cds
     ]
     out.sort()
-    return tuple(map(_wrap, out))
+    return out
+
+
+@lru_cache(maxsize=None)
+def elements_of_norm(m: int) -> tuple:
+    """All order elements of reduced norm m, sorted by doubled coordinates
+    (``_norm_tuples`` wrapped)."""
+    return tuple(map(_wrap, _norm_tuples(m)))
 
 
 def units() -> tuple:
@@ -355,6 +370,27 @@ def _smallest_odd_prime_factor(n: int):
     return n
 
 
+_OMEGA = (-1, 1, 1, 1)  # (-1 + i + j + k)/2, a unit of order 3
+_OMEGA2 = (-1, -1, -1, -1)  # omega^2 = conj(omega)
+
+
+def _unit_orbit(x: tuple) -> set:
+    """The products x * u over the 24 units u, as a set of tuples.
+
+    The units are Q8 = {+-1, +-i, +-j, +-k} times 1, omega and omega^2, and
+    right multiplication by Q8 is a signed shuffle of the coordinates (x * i
+    = (-b, a, d, -c), x * j = (-c, -d, a, b), x * k = (-d, c, -b, a)), so the
+    orbit takes two products.
+    """
+    orbit = set()
+    for a, b, c, d in (x, _mul(x, _OMEGA), _mul(x, _OMEGA2)):
+        orbit.update((
+            (a, b, c, d), (-b, a, d, -c), (-c, -d, a, b), (-d, c, -b, a),
+            (-a, -b, -c, -d), (b, -a, -d, c), (c, d, -a, -b), (d, -c, b, -a),
+        ))
+    return orbit
+
+
 @lru_cache(maxsize=None)
 def unit_class_reps(p: int) -> tuple:
     """Canonical representatives of the norm-p elements modulo right unit
@@ -363,24 +399,40 @@ def unit_class_reps(p: int) -> tuple:
     There are exactly p + 1 classes of 24 elements each; the representative of
     a class is its smallest member in doubled-coordinate order, and the tuple
     is sorted, so the output is deterministic.
+
+    The classes are found on tuples, and only the representatives are
+    wrapped.  The orbit of x = (a, b, c, d) is x * Q8, x * omega * Q8 and
+    x * omega^2 * Q8, and right multiplication by Q8 brings each coordinate
+    of its left factor to the front with either sign, so the least member of
+    the orbit leads with -M, where M is the largest |coordinate| of x,
+    x * omega and x * omega^2.  The coordinates of x * omega and
+    x * omega^2 are (a +- b +- c +- d)/2 over all eight signs, so
+    M = max(|a|, |b|, |c|, |d|, (|a| + |b| + |c| + |d|)/2), and a = -M holds
+    exactly when -a >= |b| + |c| + |d|.  Only the elements that pass this
+    test build their orbit, and each is kept when it is the orbit's least
+    member.  Every orbit's least member passes, so this keeps exactly the
+    orbit minima, in enumeration order, and builds every orbit, checking
+    that it has 24 members, at least once.  The test needs a < 0 and
+    a^2 >= b^2 + c^2 + d^2 = 4p - a^2, which no element after the first
+    with a^2 < 2p meets, so the ascending scan stops there.
     """
     if _smallest_odd_prime_factor(p) != p:
         raise ValueError(f"p must be an odd prime, got {p}")
-    us = [u.dc for u in units()]
     reps = []
-    seen = set()
-    for e in elements_of_norm(p):
-        x = e.dc
-        if x in seen:
+    for x in _norm_tuples(p):
+        a, b, c, d = x
+        if a * a < 2 * p:
+            break
+        if -a < abs(b) + abs(c) + abs(d):
             continue
-        orbit = {_mul(x, u) for u in us}
+        orbit = _unit_orbit(x)
         if len(orbit) != 24:
-            raise ArithmeticError(f"unit class of {e!r} has size {len(orbit)}")
-        seen.update(orbit)
-        reps.append(e)
+            raise ArithmeticError(f"unit class of {_wrap(x)!r} has size {len(orbit)}")
+        if x == min(orbit):
+            reps.append(x)
     if len(reps) != p + 1:
         raise ArithmeticError(f"expected {p + 1} classes at {p}, found {len(reps)}")
-    return tuple(reps)
+    return tuple(map(_wrap, reps))
 
 
 def decompose(q: HurwitzQuaternion):
@@ -394,18 +446,17 @@ def decompose(q: HurwitzQuaternion):
     The factorization is exact and unique.
     """
     x = q.dc
-    if q.is_zero() or not _in_dual_lattice(x):
+    if not any(x) or not _in_dual_lattice(x):
         raise ValueError(f"not a nonzero dual-lattice element: {q!r}")
     K, u, n = _lattice_index(x)
-    beta = _div_scalar(x, n)
+    beta = x if n == 1 else _div_scalar(x, n)
     for _ in range(u):
         beta = _div_scalar(_mul(_W_CONJ, beta), 2)
         if beta is None:
             raise ArithmeticError(f"uniformizer division left the order at {q!r}")
-    beta0 = _wrap(beta)
-    if not beta0.is_primitive():
+    if _lattice_index(beta)[1:] != (0, 1):
         raise ArithmeticError(f"decomposition of {q!r} did not reach a primitive part")
-    return CanonicalIndex(K, u, n), beta0
+    return CanonicalIndex(K, u, n), _wrap(beta)
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +490,8 @@ def representative(index) -> HurwitzQuaternion:
     beta = (2 * x, 2 * y, 2 * z, 2)
     for _ in range(u):
         beta = _mul(_W, beta)
-    return _wrap(tuple(v * n for v in beta))
+    a, b, c, d = beta
+    return _wrap((a * n, b * n, c * n, d * n))
 
 
 def exact_divide(x: HurwitzQuaternion, by, side: str = "left"):
@@ -523,17 +575,17 @@ def divisibility_counts(beta: HurwitzQuaternion, p: int) -> DivisibilityCounts:
     invertible in the order, so p^2 divides a product with a unit factor
     exactly when it divides the product without it.
     """
-    if _smallest_odd_prime_factor(p) != p:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if not beta.is_primitive():
-        raise ValueError(f"beta must be primitive, got {beta!r}")
+    reps, conjs = _class_tuples(p)  # unit_class_reps rejects p unless an odd prime
     b = beta.dc
-    reps, conjs = _class_tuples(p)
+    # primitive means of index (K, 0, 1); zero has no index and is not primitive
+    K, u, n = _lattice_index(b) if any(b) else (0, 0, 0)
+    if (u, n) != (0, 1):
+        raise ValueError(f"beta must be primitive, got {beta!r}")
     left = len(_divided_products(b, conjs, p, True))
     right = len(_divided_products(b, reps, p, False))
     # p^2 | alpha*beta forces p^4 | nu(alpha*beta) = p*nu(beta), so a square
     # can only divide when p^3 divides nu(beta).
-    if beta.norm() % (p ** 3) == 0:
+    if K % (p ** 3) == 0:
         sq = p * p
         if _divided_products(b, conjs, sq, True) or _divided_products(b, reps, sq, False):
             raise ArithmeticError(f"p^2 divides a norm-{p} product with {beta!r}")

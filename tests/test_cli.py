@@ -177,6 +177,7 @@ def test_table_integer_fields_exit_2_naming_field(tmp_path, capsys, field, value
 
 BIG_ELEMENT = "2" + "0" * 3000 + ",0,0,0"  # K has over 6,000 digits
 BIG_TERM = "1" * 4400 + "i"
+HUGE_PRIME = 10**18 + 3
 
 
 @pytest.mark.parametrize(
@@ -337,12 +338,34 @@ BIG_TERM = "1" * 4400 + "i"
             "{formal3}: table bound 3 is below 4",
             id="check-maass-bound-below-4",
         ),
+        # zero has no canonical index, so it is not primitive
+        (["cp-enum", "3", "--divisibility", "0"], "--divisibility '0': beta must be primitive"),
+        # a prime no index fits under exits before its primality test, which would
+        # take about a minute of trial division at 10^18
+        pytest.param(
+            ["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--prime",
+             str(HUGE_PRIME), "--index", "2,0,1"],
+            f"--prime {HUGE_PRIME}: 2p exceeds the table bound k_max=256",
+            id="hecke-apply-huge-prime",
+        ),
+        pytest.param(
+            ["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H3", "--prime", "131",
+             "--index", "2,0,1"],
+            "--prime 131: 2p exceeds the table bound k_max=256",
+            id="hecke-apply-prime-above-bound",
+        ),
+        pytest.param(
+            ["stability", "--kmax", "64", "--config", "{prime_huge}"],
+            f"config prime {HUGE_PRIME}: 2p exceeds the table bound k_max=64",
+            id="stability-huge-prime",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
     configs = {
         "lambda4": {"lambdas": {"3": 1.5, "4": 0.5}},
         "prime4": {"prime": 4},
+        "prime_huge": {"prime": HUGE_PRIME},
         "kind_x1": {"kinds": ["H2", "X1"]},
         "kmax_str": {"k_max": "512"},
         "tolerance_str": {"tolerance": "x"},
@@ -609,20 +632,24 @@ def test_hecke_rejects_formal_table(tmp_path, capsys):
 
 
 def test_apply_exits_2_at_a_huge_prime_without_enumerating(numeric_table, capsys, monkeypatch):
-    # the norm-9999991 classes would take longer than any test should run;
-    # the image's closure (2 * 9999991, 0, 1) already passes the bound
+    # 2 * 9999991 passes the table bound, so no index K >= 2 has an image in the
+    # table, and the run exits before it tests the prime by trial division (about
+    # a minute near 10^18) or enumerates the norm-9999991 classes
     import mql.hecke
 
-    def refuse(p):
-        raise AssertionError(f"enumerated the norm-{p} classes")
+    def refuse(what):
+        def fail(p):
+            raise AssertionError(f"{what} {p}")
+        return fail
 
-    monkeypatch.setattr(mql.hecke, "_class_tuples", refuse)
+    monkeypatch.setattr(mql.hecke, "_class_tuples", refuse("enumerated the classes of norm"))
+    monkeypatch.setattr(mql.hecke, "_smallest_odd_prime_factor", refuse("trial division of"))
     capsys.readouterr()
     argv = ["hecke", "--table", str(numeric_table), "--mode", "apply", "--kind", "H2",
             "--index", "2,0,1", "--prime", "9999991"]
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
-    assert "--index 2,0,1: index (19999982,0,1) exceeds table bound K_max=256" in err
+    assert "--prime 9999991: 2p exceeds the table bound k_max=256, so no index applies" in err
 
 
 def test_lift_rejects_short_source(tmp_path, synth_config, capsys):
@@ -667,9 +694,13 @@ def test_readme_library_sketch_runs(capsys):
 #: build_lift_table and random_maass_table fill their entries one index block at a
 #: time, with no per-index lift_coefficient or evaluate; lift writes its table file
 #: from row templates, not from table_to_json_dict's rows; stability runs
-#: stability_sweep, of which the two hecke names are one-operator calls.
+#: stability_sweep, of which the two hecke names are one-operator calls;
+#: cp-enum's unit classes read the tuple enumeration _norm_tuples, which
+#: elements_of_norm and units wrap.
 LIBRARY_ONLY = {
+    "quaternion.elements_of_norm",
     "quaternion.exact_divide",
+    "quaternion.units",
     "formal.evaluate",
     "lift.lift_coefficient",
     "lift.table_to_json_dict",

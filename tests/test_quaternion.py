@@ -19,6 +19,9 @@ from mql.quaternion import (
     _divided_products,
     _lattice_index,
     _mul,
+    _norm_tuples,
+    _unit_orbit,
+    _wrap,
     decompose,
     divisibility_counts,
     elements_of_norm,
@@ -187,17 +190,13 @@ def triple_loop_enumeration(m):
     return out
 
 
-# Uncached, so the sweeps below do not keep millions of elements alive.
-enumerate_norm = elements_of_norm.__wrapped__
-
-
 def test_norm_enumeration_matches_box_oracle():
     for m in range(1, 9):
         got = {q.dc for q in elements_of_norm(m)}
         assert got == box_oracle(m)
         assert list(elements_of_norm(m)) == sorted(elements_of_norm(m))
     for m in range(1, 401):
-        assert [q.dc for q in enumerate_norm(m)] == triple_loop_enumeration(m), m
+        assert _norm_tuples(m) == triple_loop_enumeration(m), m
 
 
 def test_norm_enumeration_counts_and_order():
@@ -205,9 +204,21 @@ def test_norm_enumeration_counts_and_order():
     # Every norm up to 2000 takes about 90 s on a 2-vCPU Xeon VM, so the
     # sweep covers the first 600 and the top of that range.
     for m in [*range(1, 601), *range(1985, 2001)]:
-        dcs = [q.dc for q in enumerate_norm(m)]
+        dcs = _norm_tuples(m)
         assert len(dcs) == 24 * sum(d for d in range(1, m + 1, 2) if m % d == 0), m
         assert all(map(operator.lt, dcs, dcs[1:])), m
+
+
+def test_elements_of_norm_wraps_the_tuple_enumeration():
+    for m in range(1, 201):
+        assert elements_of_norm(m) == tuple(map(_wrap, _norm_tuples(m))), m
+    elements_of_norm.cache_clear()  # keep no sweep of elements alive
+
+
+def test_norm_tuples_reject_nonpositive_norms():
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="norm must be positive"):
+            _norm_tuples(m)
 
 
 def test_units_group():
@@ -237,6 +248,64 @@ def test_unit_class_partition(p):
         assert not (orbit & seen)
         seen |= orbit
     assert seen == set(elements_of_norm(p))
+
+
+def test_unit_orbit_is_the_product_with_every_unit():
+    # the signed shuffles of x, x * omega and x * omega^2 are x times the units
+    us = [u.dc for u in units()]
+    for m in range(1, 61):
+        for x in _norm_tuples(m):
+            assert _unit_orbit(x) == {_mul(x, u) for u in us}, x
+
+
+def seen_set_class_reps(p):
+    """The earlier algorithm: scan the norm-p elements in order, keeping each
+    one no earlier orbit holds; the kept ones are the orbit minima."""
+    us = [u.dc for u in units()]
+    reps, seen = [], set()
+    for x in _norm_tuples(p):
+        if x in seen:
+            continue
+        orbit = {_mul(x, u) for u in us}
+        assert len(orbit) == 24
+        seen |= orbit
+        reps.append(x)
+    return reps
+
+
+def test_unit_class_reps_match_seen_set_oracle():
+    primes = [p for p in range(3, 400, 2) if all(p % f for f in range(3, isqrt(p) + 1, 2))]
+    for p in primes + [797, 1009]:
+        assert [r.dc for r in unit_class_reps(p)] == seen_set_class_reps(p), p
+
+
+@pytest.fixture
+def cold_unit_classes():
+    """unit_class_reps with an empty cache, emptied again afterwards, so a
+    faked kernel neither reads nor leaves a cached answer."""
+    unit_class_reps.cache_clear()
+    yield unit_class_reps
+    unit_class_reps.cache_clear()
+
+
+def test_unit_class_reps_fail_closed_on_a_broken_orbit(monkeypatch, cold_unit_classes):
+    import mql.quaternion as q
+
+    real = q._mul
+    # x * omega^2 comes back as x, so every orbit built has 16 members
+    monkeypatch.setattr(q, "_mul", lambda x, y: x if y == q._OMEGA2 else real(x, y))
+    with pytest.raises(ArithmeticError, match="has size 16"):
+        cold_unit_classes(7)
+
+
+def test_unit_class_reps_fail_closed_on_a_missing_class(monkeypatch, cold_unit_classes):
+    import mql.quaternion as q
+
+    real = q._norm_tuples
+    dropped = _unit_orbit(real(7)[0])
+    monkeypatch.setattr(q, "_norm_tuples", lambda m: [x for x in real(m) if x not in dropped])
+    with pytest.raises(ArithmeticError, match="expected 8 classes at 7, found 7"):
+        cold_unit_classes(7)
 
 
 def test_unit_class_rejects_bad_primes():
@@ -403,8 +472,14 @@ def test_divisibility_counts_examples():
 
 
 def test_divisibility_counts_rejects_non_primitive():
-    with pytest.raises(ValueError):
-        divisibility_counts(HurwitzQuaternion.from_integral(0, 0, 0, 2), 3)
+    for beta in (
+        HurwitzQuaternion.from_integral(0, 0, 0, 2),
+        HurwitzQuaternion(0, 0, 0, 0),  # no canonical index, not a division by zero
+        HurwitzQuaternion(1, 1, 1, 1),  # odd doubled coordinates
+        parse_quaternion("2+2i"),
+    ):
+        with pytest.raises(ValueError, match="beta must be primitive"):
+            divisibility_counts(beta, 3)
 
 
 def test_divisibility_counts_square_check_fails_closed(monkeypatch):
