@@ -15,7 +15,10 @@ hecke's apply and lambda modes and in satake without --table.  An input file
 (--config, --table, --source, --in) that is missing, a directory, unreadable
 or not UTF-8 exits 2, naming it.  In hecke, --kind, --prime (default 2 for
 T2, else 3) and --index belong to apply mode and --primes to the eigen and
-lambda modes.
+lambda modes.  A table with a missing row exits 2 naming it.  A prime named
+against a table bound k_max (hecke --prime and --primes, stability's config
+prime, satake's lambdas keys with --table) exits 2 on 2p > k_max before any
+trial division.  satake writes no file until all its input checks pass.
 
 The environment variable MQL_THREADS caps internal parallelism.  The current
 engine is sequential (the cap is honored trivially); the variable is still
@@ -163,15 +166,20 @@ def _load_table(path) -> CoefficientTable:
     return _load_json(path, "table", table_from_json_dict)
 
 
-def _parse_primes(items, what, *, allow_two=False) -> list:
+def _parse_primes(items, what, *, allow_two=False, k_max=None) -> list:
     """Each item as an int that is an odd prime (or 2, when allowed), each
-    prime once; the first item that is not raises a CliError naming it."""
+    prime once; the first item that is not raises a CliError naming it, as does
+    2p > k_max, given a table bound k_max, before the trial division."""
     primes = []
     for item in items:
         try:
             p = int(item)
         except (TypeError, ValueError):
             p = 0
+        if k_max is not None and 2 * p > k_max:
+            raise CliError(
+                f"{what} {item!r}: 2p exceeds the table bound k_max={k_max}, so no index applies"
+            )
         if not (allow_two and p == 2) and _smallest_odd_prime_factor(p) != p:
             kind = "a prime" if allow_two else "an odd prime"
             raise CliError(f"{what} {item!r} is not {kind}")
@@ -181,13 +189,13 @@ def _parse_primes(items, what, *, allow_two=False) -> list:
     return primes
 
 
-def _config_lambdas(cfg) -> dict:
+def _config_lambdas(cfg, k_max=None) -> dict:
     """The config's 'lambdas' map, checked to have odd-prime keys and finite number values."""
     raw = cfg.get("lambdas", {})
     if not isinstance(raw, dict):
         raise CliError("config 'lambdas' must be a JSON object")
     lams = {}
-    for (key, value), p in zip(raw.items(), _parse_primes(raw, "lambdas key")):
+    for (key, value), p in zip(raw.items(), _parse_primes(raw, "lambdas key", k_max=k_max)):
         if not _is_number(value):
             raise CliError(f"lambdas[{key!r}] = {value!r} is not a finite number")
         lams[p] = float(value)
@@ -208,11 +216,9 @@ def _lambdas_from_config(cfg, n_max) -> dict:
             raise CliError(f"config random_lambdas 'range' = {bounds!r} is not two finite numbers")
         rng = _random.Random(seed)
         lo, hi = bounds
-        p = 3
-        while p <= n_max:
+        for p in range(3, n_max + 1, 2):
             if _smallest_odd_prime_factor(p) == p:
                 lams.setdefault(p, rng.uniform(lo, hi))
-            p += 2
     return lams
 
 
@@ -346,14 +352,6 @@ def _parse_index(text):
         raise CliError(f"bad index {text!r}: expected K,u,n") from None
 
 
-def _check_prime_bound(what: str, p: int, k_max: int) -> None:
-    """Reject a prime no operator index fits under: an image at K reads an
-    index of norm at least K p, and K >= 2.  This runs before the primality
-    test, whose trial division grows as sqrt(p)."""
-    if 2 * p > k_max:
-        raise CliError(f"{what}: 2p exceeds the table bound k_max={k_max}, so no index applies")
-
-
 def _cmd_hecke(args) -> int:
     ignored = ["--primes"] if args.mode == "apply" else ["--kind", "--prime", "--index"]
     if args.mode != "eigen":
@@ -373,7 +371,7 @@ def _cmd_hecke(args) -> int:
         if not args.kind or not args.index:
             raise CliError("apply mode needs --kind and at least one --index")
         prime = (2 if args.kind == "T2" else 3) if args.prime is None else args.prime
-        _check_prime_bound(f"--prime {prime}", prime, table.k_max)
+        _parse_primes([prime], "--prime", allow_two=args.kind == "T2", k_max=table.k_max)
         try:
             op = HeckeOperator(args.kind, prime)
         except ValueError as exc:
@@ -389,7 +387,8 @@ def _cmd_hecke(args) -> int:
         _dump_json({"kind": args.kind, "prime": prime, "images": rows}, args.out)
         return 0
     primes = _parse_primes(
-        (args.primes or "3").split(","), "--primes entry", allow_two=args.mode == "eigen"
+        (args.primes or "3").split(","), "--primes entry", allow_two=args.mode == "eigen",
+        k_max=table.k_max,
     )
     if args.mode == "lambda":
         rows = []
@@ -435,9 +434,17 @@ def _cmd_satake(args) -> int:
         raise CliError("--tolerance does not apply to satake without --table")
     cfg = _load_config(args)
     tol = float(cfg.get("tolerance", 1e-8))
-    lams = _config_lambdas(cfg)
+    table = _load_table(args.table) if args.table else None
+    lams = _config_lambdas(cfg, k_max=None if table is None else table.k_max)
     if not lams:
         raise CliError("config needs a nonempty 'lambdas' map")
+    payload, ok = {"note": spectral_mod.MODULUS_READING_NOTE}, True
+    if table is not None:
+        try:
+            payload["cn_relations"] = verify_cn_relations(table, lams, tolerance=tol)
+        except ValueError as exc:
+            raise CliError(f"{args.table}: {exc}") from None
+        ok = payload["cn_relations"]["pass"]
     pairs = []
     for p in sorted(lams):
         params = satake_from_lambda(p, lams[p])
@@ -446,7 +453,7 @@ def _cmd_satake(args) -> int:
         rows = io.StringIO()
         csv.writer(rows, lineterminator="\n").writerows(satake_csv_rows(pairs))
         _write_text(rows.getvalue(), args.out_csv)
-    payload = {"note": spectral_mod.MODULUS_READING_NOTE, "reports": [rep for rep, _ in pairs]}
+    payload["reports"] = [rep for rep, _ in pairs]
     descriptors = [
         sigma_descriptor(p, lambda_p=lams[p]).to_json_dict() for p in sorted(lams)
     ]
@@ -455,15 +462,7 @@ def _cmd_satake(args) -> int:
     if cfg.get("r") is not None:
         descriptors.append(sigma_descriptor("inf", r=float(cfg["r"])).to_json_dict())
     payload["descriptors"] = descriptors
-    ok = all(abs(rep["alpha_sum"]) <= 1e-10 for rep, _ in pairs)
-    if args.table:
-        table = _load_table(args.table)
-        try:
-            cn = verify_cn_relations(table, lams, tolerance=tol)
-        except ValueError as exc:
-            raise CliError(f"{args.table}: {exc}") from None
-        payload["cn_relations"] = cn
-        ok = ok and cn["pass"]
+    ok = all(abs(rep["alpha_sum"]) <= 1e-10 for rep, _ in pairs) and ok
     _dump_json(payload, args.out)
     return 0 if ok else 1
 
@@ -477,7 +476,7 @@ def _cmd_stability(args) -> int:
     prime = int(cfg.get("prime", 3))
     kinds = cfg.get("kinds", ["T2", "H2", "H3", "H4"])
     if any(kind != "T2" for kind in kinds):
-        _check_prime_bound(f"config prime {prime}", prime, k_max)
+        _parse_primes([prime], "config prime", k_max=k_max)
     try:
         ops = [HeckeOperator(kind, 2 if kind == "T2" else prime) for kind in kinds]
     except ValueError as exc:

@@ -225,21 +225,15 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
 
     A canonical representative of the index is used unless ``beta`` (any
     representative of the same index) is supplied; the output is a function of
-    the index alone.  An index whose closure passes the table bound raises
-    TableBoundsError before any class is enumerated, naming an index of
-    norm K * norm_growth that the image reads: beta w for T2, p beta for H3,
-    and for H2 and H4 (K p, u, n), which all kept class products but at most
-    one read.
+    the index alone.  An index whose closure passes the table bound (as every
+    index beyond it does) raises TableBoundsError before beta is checked or
+    any class is enumerated, naming an index of norm K * norm_growth that the
+    image reads: beta w for T2, p beta for H3, and for H2 and H4 (K p, u, n),
+    which all kept class products but at most one read.
     """
     idx = CanonicalIndex(*index)
     if not is_valid_index(*idx):
         raise ValueError(f"invalid index {tuple(idx)}")
-    if idx.K > table.k_max:
-        raise TableBoundsError(
-            f"index {tuple(idx)} exceeds table bound K_max={table.k_max}"
-        )
-    if beta is not None and decompose(beta)[0] != idx:
-        raise ValueError(f"beta {beta!r} does not represent index {tuple(idx)}")
     K, u, n = idx
     if K * op.norm_growth > table.k_max:
         if op.kind == "T2":
@@ -249,6 +243,8 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
         raise TableBoundsError(
             f"index ({K * op.norm_growth},{u},{n}) exceeds table bound K_max={table.k_max}"
         )
+    if beta is not None and decompose(beta)[0] != idx:
+        raise ValueError(f"beta {beta!r} does not represent index {tuple(idx)}")
     b = (representative(idx) if beta is None else beta).dc
     return _action(op, _RawView(table))(idx, b)
 

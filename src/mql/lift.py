@@ -23,8 +23,8 @@ ints and Fractions lifts exactly, any other source to floats.
 Presentation layers (the Hecke engine in particular) multiply by sqrt(K) to
 recover raw coefficients.  Entries at invalid indices, or with u < 0, read as
 the plain number 0 on both backends (formal values add to and compare with
-it); lookups beyond the table bound raise instead of zero-filling, since a
-silent truncation would corrupt eigenvalue extraction downstream.  Table
+it); lookups beyond the table bound or of a missing row raise, naming it,
+since a silent zero would corrupt eigenvalue extraction downstream.  Table
 files are checked row by row on load: a numeric value that is not a finite
 JSON number (a bool or a numeric string is not one), or a formal value that
 is not a JSON object, is rejected with the row's index.
@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 from .formal import (
@@ -110,20 +111,34 @@ class CoefficientTable:
 
     def value_at(self, K: int, u: int, n: int):
         """Entry at (K, u, n); the number 0 at invalid indices or negative u,
-        on either backend; error beyond the bound."""
+        on either backend; error beyond the bound and at a missing row."""
         if u < 0 or not is_valid_index(K, u, n):
             return 0
         return self._read((K, u, n))
 
     def _read(self, key: tuple):
         """Entry at a valid index given as a plain (K, u, n) tuple, which
-        hashes like its CanonicalIndex; error beyond the bound."""
+        hashes like its CanonicalIndex; error beyond the bound or at a missing row."""
         if key[0] > self.k_max:
             K, u, n = key
             raise TableBoundsError(
                 f"index ({K},{u},{n}) exceeds table bound K_max={self.k_max}"
             )
-        return self.entries.get(key, 0)
+        if (value := self.entries.get(key)) is None:
+            raise ValueError(f"missing row {tuple(key)} of a table with k_max={self.k_max}")
+        return value
+
+    def _check_rows(self):
+        """Unless the rows are as many as the valid indices <= k_max (exactly
+        those, if each row is one), raise ValueError naming the first missing
+        row, else a row that is not one.  Each block holds an index, and the
+        (K, 0, 1), K = 2, 6, .., 4 rows + 2, outnumber the rows."""
+        rows = len(self.entries)
+        if sum(len(ms) for *_, ms in islice(_index_blocks(self.k_max), rows + 1)) != rows:
+            for idx in valid_indices(min(self.k_max, 4 * rows + 2)):
+                self._read(idx)
+            bad = (k for k in sorted(self.entries) if k[0] > self.k_max or not is_valid_index(*k))
+            raise ValueError(f"row {tuple(next(bad))} is not a valid index <= k_max={self.k_max}")
 
 
 def _index_blocks(k_max: int):
@@ -230,27 +245,20 @@ def build_lift_table(source: SourceForm, k_max: int) -> CoefficientTable:
 
 
 def dyadic_depth(N: int) -> int:
-    """Write N = 4**a * b with 4 not dividing b; return 2a for b = 1, 3 mod 4
-    and 2a + 1 for b = 2 mod 4."""
+    """The 2-adic valuation of N: the u of the index (2N, u, 1) of C(N)."""
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    a = 0
-    while N % 4 == 0:
-        N //= 4
-        a += 1
-    return 2 * a + (1 if N % 4 == 2 else 0)
+    return (N & -N).bit_length() - 1
 
 
 def source_coefficient(table: CoefficientTable, N: int):
     """Recover the N-th source coefficient from a Maass-space table.
 
-    Returns a(2N, u, 1) + epsilon * a(N, u-1, 1) with u the dyadic depth of N;
-    on a formal lifted table this is exactly the symbol C(N).
+    Returns a(2N, u, 1) + epsilon * a(N, u-1, 1) with u the dyadic depth of N
+    (TableBoundsError for 2N > k_max); on a formal lifted table this is C(N).
     """
     if N < 1:
         raise ValueError(f"N must be positive, got {N}")
-    if 2 * N > table.k_max:
-        raise TableBoundsError(f"need K = {2 * N} but table bound is {table.k_max}")
     u = dyadic_depth(N)
     return combine(
         table.value_at(2 * N, u, 1), table.value_at(N, u - 1, 1), 1, table.epsilon
@@ -293,10 +301,12 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
     fails.  An exact mismatch has no finite size, so it is listed but left out
     of max_rel_err.  All indices a check refers to are below the checked index,
     so nothing can leave the table bound here.  A bound below 4 raises
-    ValueError: no index there has u >= 1 or n > 1, so nothing would be checked.
+    ValueError: no index there has u >= 1 or n > 1, so nothing would be checked;
+    so do rows that are not the valid indices with K <= k_max.
     """
     if table.k_max < 4:
         raise ValueError(f"table bound {table.k_max} is below 4: no index to check")
+    table._check_rows()
     eps = table.epsilon
     # Fraction * float is float(Fraction) * float: a float entry takes f1, f2.
     a1, a2 = Fraction(-3 * eps, 2), Fraction(-1, 2)
@@ -443,12 +453,6 @@ def table_from_json_dict(obj: dict) -> CoefficientTable:
             entries[idx] = decode(row["value"])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"row {tuple(idx)}: {exc}") from None
-    # Every row is now a distinct valid index <= k_max.  Each K = 2 mod 4 is
-    # valid (u = 0, n = 1), so if any index <= k_max is missing, the first
-    # one has K <= bound = min(k_max, top + 4), top the largest K present; and
-    # none is missing exactly when the rows are as many as the indices <= bound.
-    bound = min(k_max, max((idx.K for idx in entries), default=0) + 4)
-    if len(entries) != sum(len(ms) for *_, ms in _index_blocks(bound)):
-        idx = next(i for i in valid_indices(bound) if i not in entries)
-        raise ValueError(f"missing row {tuple(idx)} of a table with k_max={k_max}")
-    return CoefficientTable(obj["epsilon"], k_max, entries, backend)
+    table = CoefficientTable(obj["epsilon"], k_max, entries, backend)
+    table._check_rows()
+    return table

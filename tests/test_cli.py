@@ -190,7 +190,8 @@ HUGE_PRIME = 10**18 + 3
         (["adjoint", "--primes", "x"], "'x'"),
         (["adjoint", "--primes", "3,4"], "'4'"),
         (["satake", "--config", "{lambda4}"], "'4'"),
-        (["stability", "--kmax", "64", "--config", "{prime4}"], "got 4"),
+        (["stability", "--kmax", "64", "--config", "{prime4}"],
+         "config prime 4 is not an odd prime"),
         (["stability", "--kmax", "64", "--config", "{kind_x1}"], "'X1'"),
         (["invert", "--table", "{table}", "--nmax", "-3"], "--nmax -3"),
         (["invert", "--table", "{table}", "--nmax", "0"], "--nmax 0"),
@@ -295,9 +296,16 @@ HUGE_PRIME = 10**18 + 3
          "apply mode needs --kind and at least one --index"),
         (["hecke", "--table", "{table}", "--mode", "apply", "--kind", "H2", "--index", "254,0,1"],
          "--index 254,0,1: index (762,0,1) exceeds table bound"),
-        (["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "131"],
-         "prime 131: no usable index"),
-        (["hecke", "--table", "{table}", "--primes", "131"], "usable indices at prime 131"),
+        pytest.param(
+            ["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "131"],
+            "--primes entry '131': 2p exceeds the table bound k_max=256, so no index applies",
+            id="hecke-lambda-prime-above-bound",
+        ),
+        pytest.param(
+            ["hecke", "--table", "{table}", "--primes", "131"],
+            "--primes entry '131': 2p exceeds the table bound k_max=256, so no index applies",
+            id="hecke-eigen-prime-above-bound",
+        ),
         # a zero denominator in a quaternion term
         (["decompose", "1/0i"], "argument 1: term '1/0i' in '1/0i' has a zero denominator"),
         (["cp-enum", "5", "--divisibility", "1/0+i"],
@@ -317,20 +325,23 @@ HUGE_PRIME = 10**18 + 3
             f"argument 1: term {BIG_TERM!r} in {BIG_TERM!r} has too many digits",
             id="decompose-term-digits",
         ),
-        # a satake or check-maass run that would check nothing
+        # a satake or check-maass run that would check nothing; satake writes no CSV
         pytest.param(
-            ["satake", "--config", "{lambda_ok}", "--table", "{formal16}"],
+            ["satake", "--config", "{lambda_ok}", "--table", "{formal16}",
+             "--out-csv", "{dir}/satake.csv"],
             "{formal16}: lambdas at [3] need a numeric table, not a formal one",
             id="satake-formal-table",
         ),
         pytest.param(
-            ["satake", "--config", "{lambda_37}", "--table", "{numeric64}"],
-            "{numeric64}: lambdas prime 37 exceeds k_max // 2 = 32",
+            ["satake", "--config", "{lambda_37}", "--table", "{numeric64}",
+             "--out-csv", "{dir}/satake.csv"],
+            "lambdas key '37': 2p exceeds the table bound k_max=64, so no index applies",
             id="satake-prime-above-bound",
         ),
         pytest.param(
-            ["satake", "--config", "{lambda_ok}", "--table", "{numeric3}"],
-            "{numeric3}: table bound 3 is below 4",
+            ["satake", "--config", "{lambda_ok}", "--table", "{numeric3}",
+             "--out-csv", "{dir}/satake.csv"],
+            "lambdas key '3': 2p exceeds the table bound k_max=3, so no index applies",
             id="satake-bound-below-4",
         ),
         pytest.param(
@@ -358,6 +369,31 @@ HUGE_PRIME = 10**18 + 3
             ["stability", "--kmax", "64", "--config", "{prime_huge}"],
             f"config prime {HUGE_PRIME}: 2p exceeds the table bound k_max=64",
             id="stability-huge-prime",
+        ),
+        # a prime within the bound that still has too few usable indices
+        pytest.param(
+            ["hecke", "--table", "{table}", "--mode", "lambda", "--primes", "127"],
+            "prime 127: no usable index",
+            id="hecke-lambda-no-usable-index",
+        ),
+        pytest.param(
+            ["hecke", "--table", "{table}", "--primes", "127"],
+            "usable indices at prime 127",
+            id="hecke-eigen-no-usable-index",
+        ),
+        # T2 acts at 2 alone
+        pytest.param(
+            ["hecke", "--table", "{table}", "--mode", "apply", "--kind", "T2", "--prime", "3",
+             "--index", "2,0,1"],
+            "--prime 3: T2 requires prime 2",
+            id="hecke-apply-t2-odd-prime",
+        ),
+        # satake reads --table before it writes --out-csv
+        pytest.param(
+            ["satake", "--config", "{lambda_ok}", "--table", "{missing}/table.json",
+             "--out-csv", "{dir}/satake.csv"],
+            "table file not found: {missing}/table.json",
+            id="satake-missing-table",
         ),
     ],
 )
@@ -428,9 +464,12 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         else:
             files[name].write_text(json.dumps(content))
     capsys.readouterr()
-    assert run_cli([a.format(**files) for a in argv]) == 2
+    argv = [a.format(**files) for a in argv]
+    assert run_cli(argv) == 2
     first_cut = str((cut["K"], cut["u"], cut["n"]))
     assert named.format(first_cut=first_cut, **files) in capsys.readouterr().err
+    if "--out-csv" in argv:
+        assert not Path(argv[argv.index("--out-csv") + 1]).exists()
 
 
 def test_hecke_modes(numeric_table, capsys):
@@ -650,6 +689,58 @@ def test_apply_exits_2_at_a_huge_prime_without_enumerating(numeric_table, capsys
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert "--prime 9999991: 2p exceeds the table bound k_max=256, so no index applies" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["hecke", "--table", "{table}", "--mode", "eigen", "--primes", str(HUGE_PRIME)],
+         f"--primes entry '{HUGE_PRIME}': 2p exceeds the table bound k_max=256"),
+        (["hecke", "--table", "{table}", "--mode", "lambda", "--primes", str(HUGE_PRIME)],
+         f"--primes entry '{HUGE_PRIME}': 2p exceeds the table bound k_max=256"),
+        (["satake", "--config", "{config}", "--table", "{table}"],
+         f"lambdas key '{HUGE_PRIME}': 2p exceeds the table bound k_max=256"),
+    ],
+    ids=["eigen", "lambda", "satake"],
+)
+def test_primes_exit_2_at_a_huge_prime_without_trial_division(
+    tmp_path, numeric_table, capsys, monkeypatch, argv, named
+):
+    # as in apply mode, a prime with 2p past the table bound exits before the
+    # trial division that would test it (about a minute near 10^18)
+    import mql.hecke
+
+    def refuse(p):
+        raise AssertionError(f"trial division of {p}")
+
+    monkeypatch.setattr(mql.cli, "_smallest_odd_prime_factor", refuse)
+    monkeypatch.setattr(mql.hecke, "_smallest_odd_prime_factor", refuse)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"lambdas": {str(HUGE_PRIME): 1.0}}))
+    capsys.readouterr()
+    assert run_cli([a.format(table=numeric_table, config=config) for a in argv]) == 2
+    assert named + ", so no index applies" in capsys.readouterr().err
+
+
+def test_cli_trial_divides_only_in_the_prime_gate():
+    """Every prime the CLI tests by trial division is either parsed by
+    _parse_primes, which applies the table bound first, or generated by
+    _lambdas_from_config, so no entry point trial-divides a user's prime
+    outside the gate."""
+    tree = ast.parse(Path(mql.cli.__file__).read_text())
+    owners = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if getattr(child, "id", getattr(child, "attr", None)) == "_smallest_odd_prime_factor":
+                owners.add(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    assert owners == {"_parse_primes", "_lambdas_from_config"}
 
 
 def test_lift_rejects_short_source(tmp_path, synth_config, capsys):

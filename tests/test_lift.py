@@ -156,7 +156,7 @@ def test_dyadic_depth():
     assert dyadic_depth(3) == 0
     assert dyadic_depth(4) == 2
     assert dyadic_depth(48) == 4  # 48 = 4^2 * 3
-    for N in range(1, 500):
+    for N in range(1, 1 << 17):
         a, b = 0, N
         while b % 4 == 0:
             a += 1
@@ -227,6 +227,44 @@ def test_check_maass_flags_nan_entry():
     rep = check_maass(t)
     assert not rep.passed
     assert CanonicalIndex(8, 2, 1) in rep.dyadic_failures
+
+
+@pytest.mark.parametrize("backend", ["formal", "numeric"])
+@pytest.mark.parametrize(
+    "keep, missing",
+    [
+        (lambda idx: False, (2, 0, 1)),
+        (lambda idx: idx.n == 1, (18, 0, 3)),
+        (lambda idx: idx != (64, 5, 1), (64, 5, 1)),
+    ],
+    ids=["empty", "no-odd-content", "no-top-row"],
+)
+def test_check_maass_names_the_first_missing_row(backend, keep, missing):
+    if backend == "formal":
+        t = build_lift_table(SourceForm(1), 64)
+    else:
+        t = random_maass_table(1, seed=5, k_max=64)
+    assert check_maass(t).passed
+    t.entries = {idx: v for idx, v in t.entries.items() if keep(idx)}
+    message = r"missing row \(%d, %d, %d\) of a table with k_max=64" % missing
+    with pytest.raises(ValueError, match=message):
+        check_maass(t)
+
+
+@pytest.mark.parametrize("extra", [(4, 0, 1), (66, 0, 1)])
+def test_check_maass_names_a_row_that_is_not_an_index(extra):
+    t = random_maass_table(1, seed=5, k_max=64)
+    t.entries[CanonicalIndex(*extra)] = 1.0
+    with pytest.raises(ValueError, match=r"row \(%d, %d, %d\) is not a valid index" % extra):
+        check_maass(t)
+
+
+def test_value_at_a_missing_row_raises():
+    t = random_maass_table(1, seed=5, k_max=64)
+    del t.entries[CanonicalIndex(18, 0, 1)]
+    with pytest.raises(ValueError, match=r"missing row \(18, 0, 1\) of a table with k_max=64"):
+        t.value_at(18, 0, 1)
+    assert t.value_at(4, 0, 1) == 0  # an invalid index still reads as 0
 
 
 # ------------------------------------------------- Maass-space constructions

@@ -198,6 +198,22 @@ def test_cn_relations_flag_nan_coefficient():
     assert 5 in rep["doubling"]["failures"]
 
 
+@pytest.mark.parametrize(
+    "make, lambdas, message",
+    [
+        (lambda: random_maass_table(1, seed=61, k_max=3), {3: 1.5}, "table bound 3 is below 4"),
+        (lambda: build_lift_table(SourceForm(1), 16), {3: 1.5}, "lambdas at [3] need a numeric"),
+        (lambda: random_maass_table(1, seed=61, k_max=64), {3: 1.0, 37: 2.0},
+         "lambdas prime 37 exceeds k_max // 2 = 32"),
+    ],
+    ids=["bound-below-4", "formal-table", "prime-above-bound"],
+)
+def test_cn_relations_that_would_check_nothing_raise(make, lambdas, message):
+    with pytest.raises(ValueError) as info:
+        verify_cn_relations(make(), lambdas)
+    assert message in str(info.value)
+
+
 # ------------------------------------------------------------- end-to-end
 
 def test_full_pipeline_loop():
