@@ -3,9 +3,10 @@
 Every public engine operation but the library-only helpers the README names
 is reachable from a subcommand, all structured input and output is JSON (CSV
 for the wide Satake table), and a run is reproducible byte for byte:
-identical configuration and seed produce identical artifacts.  Exit status is
-0 exactly when all checks in scope pass; malformed input exits nonzero with a
-diagnostic naming the offending record.
+identical configuration and seed produce identical artifacts.  One writer,
+_json_text, renders every JSON artifact.  Exit status is 0 exactly when all
+checks in scope pass; malformed input exits nonzero with a diagnostic naming
+the offending record.
 
 Every subcommand takes ``--out`` (default stdout, as is an empty path; a path
 that cannot be opened for writing exits 2 naming it; ``satake --out-csv``
@@ -18,7 +19,8 @@ T2, else 3) and --index belong to apply mode and --primes to the eigen and
 lambda modes.  A table with a missing row exits 2 naming it.  A prime named
 against a table bound k_max (hecke --prime and --primes, stability's config
 prime, satake's lambdas keys with --table) exits 2 on 2p > k_max before any
-trial division.  satake writes no file until all its input checks pass.
+trial division.  satake writes no file until its input checks pass and both
+output paths are open.
 
 The environment variable MQL_THREADS caps internal parallelism.  The current
 engine is sequential (the cap is honored trivially); the variable is still
@@ -28,23 +30,24 @@ validated so configurations stay portable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import hecke as hecke_mod
 from . import lift as lift_mod
 from . import spectral as spectral_mod
-from .formal import UnassignedSymbolError, _values_map_json
+from .formal import UnassignedSymbolError, formal_to_json_obj
 from .lift import (
     CoefficientTable,
     SourceForm,
     _is_int,
     _is_number,
-    _table_json_text,
     build_lift_table,
     check_maass,
     random_maass_table,
@@ -88,33 +91,75 @@ def _read_text(path, what):
         raise CliError(f"cannot read {what} file {path}: {reason}") from None
 
 
-def _write_text(text, path):
-    """Write an artifact to path, or to stdout when path is None or empty."""
-    if not path:
-        sys.stdout.write(text)
-        return
+def _write_text(*artifacts):
+    """Write each (text, path) pair to its path, or to stdout when the path is
+    None or empty.  Every path is opened, and none truncated, before any is
+    written, so a path that cannot be opened raises a CliError naming it and
+    leaves every file as it was; on any error a file this call created is
+    removed."""
+    created, path = [], None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for text, path in artifacts:
+                new = bool(path) and not os.path.exists(path)
+                fh = stack.enter_context(open(path, "a", encoding="utf-8")) if path else sys.stdout
+                files.append((fh, path, text))
+                if new:
+                    created.append(path)
+            for fh, path, text in files:
+                if path and os.path.isfile(path):  # replace a regular file's bytes
+                    fh.truncate(0)
+                fh.write(text)
     except OSError as exc:
+        for name in created:
+            os.remove(name)
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _json_text(x, indent=""):
+    """The text json.dumps(x, sort_keys=True, indent=2) writes for x nested at
+    indent, with every non-finite float, at any depth, written as null: strict
+    JSON has no NaN or Infinity, and a report's pass carries the failure.  Dict
+    keys must be str.  Every JSON artifact is rendered here."""
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "null"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, dict) and x:
+        body = ",".join([
+            f"\n{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in sorted(x.items())
+        ])
+        return f"{{{body}\n{indent}}}"
+    if isinstance(x, (list, tuple)) and x:
+        body = ",".join([f"\n{inner}{_json_text(v, inner)}" for v in x])
+        return f"[{body}\n{indent}]"
+    return json.dumps(x)  # true, false, null, {} or []
+
+
 def _dump_json(obj, path):
-    # Strict JSON has no NaN or Infinity; the report's pass carries the failure.
-    text = json.dumps(_null_non_finite(obj), sort_keys=True, indent=2, allow_nan=False)
-    _write_text(text + "\n", path)
+    _write_text((_json_text(obj) + "\n", path))
 
 
-def _null_non_finite(obj):
-    """obj with every non-finite float, at any depth, replaced by None."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _null_non_finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_null_non_finite(v) for v in obj]
-    return obj
+def _table_json_text(table: CoefficientTable) -> str:
+    """The table file: table_to_json_dict(table) as _json_text writes it, plus
+    a newline, from one row template per index with no row dict built, which
+    renders several times faster than the dict at k_max 8192."""
+    entries = table.entries
+    rows = ",".join(
+        f'\n    {{\n      "K": {K},\n      "n": {n},\n      "u": {u},\n'
+        f'      "value": {_json_text(formal_to_json_obj(entries[K, u, n]), "      ")}\n    }}'
+        for K, u, n in table.indices()
+    )
+    rows = f"[{rows}\n  ]" if rows else "[]"
+    return (
+        f'{{\n  "backend": "{table.backend}",\n  "entries": {rows},\n'
+        f'  "epsilon": {table.epsilon},\n  "k_max": {table.k_max}\n}}\n'
+    )
 
 
 def _load_json(path, what, parse=lambda obj: obj):
@@ -240,7 +285,7 @@ def _cmd_decompose(args) -> int:
             out_lines.append(json.dumps({"K": idx.K, "u": idx.u, "n": idx.n}, sort_keys=True))
         except ValueError:  # past the interpreter's int-to-str digit limit
             raise CliError(f"{where}: the index K of {text!r} has too many digits") from None
-    _write_text("\n".join(out_lines) + "\n", args.out)
+    _write_text(("\n".join(out_lines) + "\n", args.out))
     return 0
 
 
@@ -317,7 +362,7 @@ def _cmd_lift(args) -> int:
         raise CliError(
             f"source form {args.source} lifts to a non-finite value at row {tuple(idx)}"
         )
-    _write_text(_table_json_text(table), args.out)
+    _write_text((_table_json_text(table), args.out))
     return 0
 
 
@@ -328,8 +373,10 @@ def _cmd_invert(args) -> int:
     n_max = args.nmax or table.k_max // 2
     if 2 * n_max > table.k_max:
         raise CliError(f"--nmax {n_max} exceeds the table bound {table.k_max}")
-    values = {str(N): source_coefficient(table, N) for N in range(1, n_max + 1)}
-    _write_text(_values_map_json({"epsilon": table.epsilon, "values": values}), args.out)
+    values = {
+        str(N): formal_to_json_obj(source_coefficient(table, N)) for N in range(1, n_max + 1)
+    }
+    _dump_json({"epsilon": table.epsilon, "values": values}, args.out)
     return 0
 
 
@@ -423,9 +470,9 @@ def _cmd_synth(args) -> int:
         "epsilon": epsilon,
         "n_max": n_max,
         "lambdas": {str(p): lam for p, lam in lams.items()},
-        "values": {str(n): v for n, v in form.coefficients.items()},
+        "values": {str(n): formal_to_json_obj(v) for n, v in form.coefficients.items()},
     }
-    _write_text(_values_map_json(payload), args.out)
+    _dump_json(payload, args.out)
     return 0
 
 
@@ -449,10 +496,6 @@ def _cmd_satake(args) -> int:
     for p in sorted(lams):
         params = satake_from_lambda(p, lams[p])
         pairs.append((ramanujan_violation_check(params), params))
-    if args.out_csv:
-        rows = io.StringIO()
-        csv.writer(rows, lineterminator="\n").writerows(satake_csv_rows(pairs))
-        _write_text(rows.getvalue(), args.out_csv)
     payload["reports"] = [rep for rep, _ in pairs]
     descriptors = [
         sigma_descriptor(p, lambda_p=lams[p]).to_json_dict() for p in sorted(lams)
@@ -463,7 +506,12 @@ def _cmd_satake(args) -> int:
         descriptors.append(sigma_descriptor("inf", r=float(cfg["r"])).to_json_dict())
     payload["descriptors"] = descriptors
     ok = all(abs(rep["alpha_sum"]) <= 1e-10 for rep, _ in pairs) and ok
-    _dump_json(payload, args.out)
+    artifacts = [(_json_text(payload) + "\n", args.out)]
+    if args.out_csv:
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows(satake_csv_rows(pairs))
+        artifacts.insert(0, (rows.getvalue(), args.out_csv))
+    _write_text(*artifacts)
     return 0 if ok else 1
 
 

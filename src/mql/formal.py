@@ -25,12 +25,10 @@ combination into odd symbols only.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "FormalCoefficient",
@@ -260,40 +258,6 @@ def formal_to_json_obj(x):
         g = math.gcd(n, den)
         out[str(m)] = str(n // g) if g == den else f"{n // g}/{den // g}"
     return out
-
-
-def _object_json(pairs, indent: str) -> str:
-    """The text json.dumps(sort_keys=True, indent=2) writes for an object
-    nested at ``indent``, given (key, JSON text of the value) pairs with str
-    keys, each once; the keys sort as strings ("1" < "10" < "2")."""
-    if not pairs:
-        return "{}"
-    inner = "\n" + indent + "  "
-    body = ",".join([f"{inner}{encode_basestring_ascii(k)}: {v}" for k, v in sorted(pairs)])
-    return f"{{{body}\n{indent}}}"
-
-
-def _value_json(x, indent: str) -> str:
-    """formal_to_json_obj(x) as json.dumps(sort_keys=True, indent=2) writes it
-    nested at ``indent``: a float as float.__repr__, and a non-finite one as
-    null, the way a report writes it."""
-    if not isinstance(x, FormalCoefficient):
-        x = float(x)
-        return float.__repr__(x) if math.isfinite(x) else "null"
-    obj = formal_to_json_obj(x)
-    return _object_json([(k, encode_basestring_ascii(q)) for k, q in obj.items()], indent)
-
-
-def _values_map_json(obj: dict) -> str:
-    """The text json.dumps(obj, sort_keys=True, indent=2) writes, plus a
-    newline, for an object whose dict members are maps {str: value} and whose
-    other members are JSON scalars; each value is written by _value_json."""
-    members = [
-        (key, _object_json([(k, _value_json(x, "    ")) for k, x in v.items()], "  ")
-         if isinstance(v, dict) else json.dumps(v))
-        for key, v in obj.items()
-    ]
-    return _object_json(members, "") + "\n"
 
 
 #: The coefficient strings formal_to_json_obj writes; any other string is

@@ -37,13 +37,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Optional
 
 from .formal import (
     FormalCoefficient,
     UnassignedSymbolError,
-    _value_json,
     combine,
     formal_from_json_obj,
     formal_to_json_obj,
@@ -129,16 +127,19 @@ class CoefficientTable:
         return value
 
     def _check_rows(self):
-        """Unless the rows are as many as the valid indices <= k_max (exactly
-        those, if each row is one), raise ValueError naming the first missing
-        row, else a row that is not one.  Each block holds an index, and the
-        (K, 0, 1), K = 2, 6, .., 4 rows + 2, outnumber the rows."""
-        rows = len(self.entries)
-        if sum(len(ms) for *_, ms in islice(_index_blocks(self.k_max), rows + 1)) != rows:
-            for idx in valid_indices(min(self.k_max, 4 * rows + 2)):
-                self._read(idx)
-            bad = (k for k in sorted(self.entries) if k[0] > self.k_max or not is_valid_index(*k))
-            raise ValueError(f"row {tuple(next(bad))} is not a valid index <= k_max={self.k_max}")
+        """Unless the rows are exactly the valid indices <= k_max, raise
+        ValueError naming the first missing row, else the first row that is
+        not one.  The keys are distinct, so as many rows as valid indices, each
+        valid index among them, means exactly those."""
+        entries = self.entries
+        valid = [(base * m, u, n) for u, n, base, ms in _index_blocks(self.k_max) for m in ms]
+        if len(valid) == len(entries) and all(map(entries.__contains__, valid)):
+            return
+        missing = [key for key in valid if key not in entries]
+        if missing:
+            self._read(min(missing))  # raises, naming the row
+        bad = (k for k in sorted(entries) if k[0] > self.k_max or not is_valid_index(*k))
+        raise ValueError(f"row {tuple(next(bad))} is not a valid index <= k_max={self.k_max}")
 
 
 def _index_blocks(k_max: int):
@@ -381,23 +382,6 @@ def table_to_json_dict(table: CoefficientTable) -> dict:
         "backend": table.backend,
         "entries": rows,
     }
-
-
-def _table_json_text(table: CoefficientTable) -> str:
-    """The table file: table_to_json_dict(table) as json.dumps(sort_keys=True,
-    indent=2) writes it, plus a newline, one row template per index and no
-    row dict built."""
-    entries = table.entries
-    rows = ",".join(
-        f'\n    {{\n      "K": {K},\n      "n": {n},\n      "u": {u},\n'
-        f'      "value": {_value_json(entries[K, u, n], "      ")}\n    }}'
-        for K, u, n in table.indices()
-    )
-    rows = f"[{rows}\n  ]" if rows else "[]"
-    return (
-        f'{{\n  "backend": "{table.backend}",\n  "entries": {rows},\n'
-        f'  "epsilon": {table.epsilon},\n  "k_max": {table.k_max}\n}}\n'
-    )
 
 
 def _is_int(value) -> bool:

@@ -4,13 +4,15 @@ diagnostics, operation coverage, and byte-level determinism."""
 import ast
 import hashlib
 import json
+import math
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import mql.cli
-from mql.cli import build_parser, main
+from mql.cli import _json_text, build_parser, main
 from mql.formal import formal_to_json_obj
 from mql.lift import (
     SourceForm,
@@ -526,6 +528,43 @@ def test_satake_and_stability_and_adjoint(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["pass"]
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("blocked", ["--out", "--out-csv"])
+def test_satake_writes_no_output_unless_both_open(tmp_path, capsys, blocked, existed):
+    """satake renders both outputs and opens both paths before it writes
+    either, so a path that cannot be opened leaves the other as it was."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambdas": {"3": 1.5}}))
+    paths = {"--out": tmp_path / "r.json", "--out-csv": tmp_path / "x.csv"}
+    other = paths["--out-csv" if blocked == "--out" else "--out"]
+    old = "old bytes, longer than the output\n" * 100
+    if existed:
+        other.write_text(old)
+
+    def run(blocked_path):
+        argv = ["satake", "--config", str(cfg)]
+        for flag, path in paths.items():
+            argv += [flag, str(blocked_path if flag == blocked else path)]
+        return run_cli(argv)
+
+    blocked_path = tmp_path / "missing" / paths[blocked].name
+    assert run(blocked_path) == 2
+    assert f"cannot write {blocked_path}" in capsys.readouterr().err
+    if existed:
+        assert other.read_text() == old
+    else:
+        assert not other.exists()
+    # once both open, each file holds exactly the output, whatever it held before
+    assert run(paths[blocked]) == 0
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    argv = ["satake", "--config", str(cfg), "--out", str(fresh / "r.json"),
+            "--out-csv", str(fresh / "x.csv")]
+    assert run_cli(argv) == 0
+    for path in paths.values():
+        assert path.read_text() == (fresh / path.name).read_text()
+
+
 @pytest.mark.parametrize("lam", [1e10, -1e10, 1e200])
 def test_satake_large_lambda(tmp_path, capsys, lam):
     """Far outside [-2, 2] the small root is the reciprocal of the large one,
@@ -638,6 +677,58 @@ def test_non_finite_invert_value_is_null(tmp_path):
     nulled = {k: v if v < float("inf") else None for k, v in old["values"].items()}
     assert None in nulled.values()
     assert out.read_text() == _dumps(dict(old, values=nulled))
+
+
+def _json_values(floats):
+    """JSON values: nested dicts (str keys, non-ASCII included) and lists,
+    empty ones too, over null, bools, big ints, strings and the given floats."""
+    scalars = (
+        st.none() | st.booleans() | st.integers(-(2**300), 2**300) | st.text()
+        | floats | st.sampled_from([-0.0, 5e-324, -2.5e-310])
+    )
+    return st.recursive(
+        scalars,
+        lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+        max_leaves=24,
+    )
+
+
+def _nulled(x):
+    """x with every non-finite float, at any depth, replaced by None."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _nulled(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_nulled(v) for v in x]
+    return x
+
+
+@given(_json_values(st.floats(allow_nan=False, allow_infinity=False)))
+def test_json_text_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@given(_json_values(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_json_text_writes_non_finite_floats_as_null(obj):
+    assert _json_text(obj) == json.dumps(_nulled(obj), sort_keys=True, indent=2)
+
+
+def test_only_cli_imports_json():
+    """The artifact text format lives behind cli: no other module under
+    src/mql imports json."""
+    importers = set()
+    for path in Path(mql.cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name == "json" or name.startswith("json.") for name in names):
+                importers.add(path.name)
+    assert importers == {"cli.py"}
 
 
 def test_cli_opens_files_only_in_its_reader_and_writer():

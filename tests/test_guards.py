@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from mql.formal import FormalCoefficient, _value_json, reduce_eigen2
+from mql.cli import _json_text
+from mql.formal import FormalCoefficient, formal_to_json_obj, reduce_eigen2
 from mql.lift import (
     CoefficientTable,
     build_lift_table,
@@ -34,7 +35,7 @@ Q = HurwitzQuaternion.from_integral
          "C(1)-2*C(3)+1/2*C(5)-C(7)"),
         (lambda: repr(FormalCoefficient.zero()), "0"),
         (lambda: C(1) == "C(1)", False),
-        (lambda: _value_json(FormalCoefficient.zero(), ""), "{}"),
+        (lambda: _json_text(formal_to_json_obj(FormalCoefficient.zero())), "{}"),
         (lambda: Q(3, 1, 0, 0) - Q(1, 1, 1, 1), Q(2, 0, -1, -1)),
         (lambda: three_squares(-1), (ValueError, "m must be non-negative")),
         (lambda: three_squares(7), (ValueError, "7 has no admissible three-square")),

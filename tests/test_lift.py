@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mql.cli import _table_json_text
 from mql.formal import FormalCoefficient, UnassignedSymbolError, evaluate, reduce_eigen2
 from mql.lift import (
     SourceForm,
     TableBoundsError,
-    _table_json_text,
     build_lift_table,
     check_maass,
     dyadic_depth,
@@ -256,6 +256,16 @@ def test_check_maass_names_a_row_that_is_not_an_index(extra):
     t = random_maass_table(1, seed=5, k_max=64)
     t.entries[CanonicalIndex(*extra)] = 1.0
     with pytest.raises(ValueError, match=r"row \(%d, %d, %d\) is not a valid index" % extra):
+        check_maass(t)
+
+
+def test_check_maass_rejects_a_swapped_row():
+    # as many rows as valid indices, but the top row is replaced by an invalid
+    # one that no recurrence reads; counting the rows alone passed this table
+    t = random_maass_table(1, seed=5, k_max=64)
+    del t.entries[CanonicalIndex(64, 5, 1)]
+    t.entries[CanonicalIndex(4, 0, 1)] = 1.0
+    with pytest.raises(ValueError, match=r"missing row \(64, 5, 1\) of a table with k_max=64"):
         check_maass(t)
 
 
