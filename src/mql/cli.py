@@ -4,9 +4,10 @@ Every public engine operation but the library-only helpers the README names
 is reachable from a subcommand, all structured input and output is JSON (CSV
 for the wide Satake table), and a run is reproducible byte for byte:
 identical configuration and seed produce identical artifacts.  One writer,
-_json_text, renders every JSON artifact.  Exit status is 0 exactly when all
-checks in scope pass; malformed input exits nonzero with a diagnostic naming
-the offending record.
+_json_text, renders every indented JSON artifact; decompose's compact JSON
+lines are the one exception.  Exit status is 0 exactly when all checks in
+scope pass; malformed input exits nonzero with a diagnostic naming the
+offending record.
 
 Every subcommand takes ``--out`` (default stdout, as is an empty path; a path
 that cannot be opened for writing exits 2 naming it; ``satake --out-csv``
@@ -20,7 +21,7 @@ lambda modes.  A table with a missing row exits 2 naming it.  A prime named
 against a table bound k_max (hecke --prime and --primes, stability's config
 prime, satake's lambdas keys with --table) exits 2 on 2p > k_max before any
 trial division.  satake writes no file until its input checks pass and both
-output paths are open.
+output paths are open; an --out-csv naming the same file as --out exits 2.
 
 The environment variable MQL_THREADS caps internal parallelism.  The current
 engine is sequential (the cap is honored trivially); the variable is still
@@ -36,6 +37,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -92,36 +94,40 @@ def _read_text(path, what):
 
 
 def _write_text(*artifacts):
-    """Write each (text, path) pair to its path, or to stdout when the path is
-    None or empty.  Every path is opened, and none truncated, before any is
-    written, so a path that cannot be opened raises a CliError naming it and
-    leaves every file as it was; on any error a file this call created is
-    removed."""
-    created, path = [], None
+    """Write each (text, path) pair to its path, then each with no path (None
+    or empty) to stdout.  Every path is opened, and none truncated, before any
+    is written, so a path that cannot be opened, or that names the same file
+    as another, raises a CliError naming it and leaves every file as it was;
+    on any error a file this call created is removed."""
+    created, files, path = [], [], None
     try:
         with contextlib.ExitStack() as stack:
-            files = []
-            for text, path in artifacts:
-                new = bool(path) and not os.path.exists(path)
-                fh = stack.enter_context(open(path, "a", encoding="utf-8")) if path else sys.stdout
-                files.append((fh, path, text))
+            for text, path in (pair for pair in artifacts if pair[1]):
+                new = not os.path.exists(path)
+                fh = stack.enter_context(open(path, "a", encoding="utf-8"))
                 if new:
                     created.append(path)
-            for fh, path, text in files:
-                if path and os.path.isfile(path):  # replace a regular file's bytes
+                if any(os.path.sameopenfile(fh.fileno(), f.fileno()) for f, _ in files):
+                    raise OSError("the same file as another output")
+                files.append((fh, text))
+            for fh, text in files:
+                path = fh.name
+                if os.path.isfile(path):  # replace a regular file's bytes
                     fh.truncate(0)
                 fh.write(text)
+                fh.flush()
     except OSError as exc:
         for name in created:
             os.remove(name)
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+    sys.stdout.write("".join(text for text, path in artifacts if not path))
 
 
 def _json_text(x, indent=""):
     """The text json.dumps(x, sort_keys=True, indent=2) writes for x nested at
     indent, with every non-finite float, at any depth, written as null: strict
     JSON has no NaN or Infinity, and a report's pass carries the failure.  Dict
-    keys must be str.  Every JSON artifact is rendered here."""
+    keys must be str.  Every indented JSON artifact is rendered here."""
     if isinstance(x, float):
         return float.__repr__(x) if math.isfinite(x) else "null"
     if isinstance(x, str):
@@ -251,15 +257,13 @@ def _lambdas_from_config(cfg, n_max) -> dict:
     lams = _config_lambdas(cfg)
     rand = cfg.get("random_lambdas")
     if rand:
-        import random as _random
-
         seed = rand.get("seed", cfg.get("seed", 0))
         bounds = rand.get("range", [-2.0, 2.0])
         if not _is_int(seed):
             raise CliError(f"config random_lambdas 'seed' = {seed!r} is not an integer")
         if not (isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_number, bounds))):
             raise CliError(f"config random_lambdas 'range' = {bounds!r} is not two finite numbers")
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         lo, hi = bounds
         for p in range(3, n_max + 1, 2):
             if _smallest_odd_prime_factor(p) == p:
@@ -303,11 +307,7 @@ def _cmd_cp_enum(args) -> int:
             counts = divisibility_counts(beta, args.p)
         except ValueError as exc:
             raise CliError(f"--divisibility {args.divisibility!r}: {exc}") from None
-        payload["divisibility"] = {
-            "beta": str(beta),
-            "left": counts.left,
-            "right": counts.right,
-        }
+        payload["divisibility"] = {"beta": str(beta), "left": counts.left, "right": counts.right}
     _dump_json(payload, args.out)
     return 0
 
@@ -359,9 +359,7 @@ def _cmd_lift(args) -> int:
         ) from None
     if backend == "numeric" and not all(map(math.isfinite, table.entries.values())):
         idx = next(i for i in table.indices() if not math.isfinite(table.entries[i]))
-        raise CliError(
-            f"source form {args.source} lifts to a non-finite value at row {tuple(idx)}"
-        )
+        raise CliError(f"source form {args.source} lifts to a non-finite value at row {tuple(idx)}")
     _write_text((_table_json_text(table), args.out))
     return 0
 
@@ -497,9 +495,7 @@ def _cmd_satake(args) -> int:
         params = satake_from_lambda(p, lams[p])
         pairs.append((ramanujan_violation_check(params), params))
     payload["reports"] = [rep for rep, _ in pairs]
-    descriptors = [
-        sigma_descriptor(p, lambda_p=lams[p]).to_json_dict() for p in sorted(lams)
-    ]
+    descriptors = [sigma_descriptor(p, lambda_p=lams[p]).to_json_dict() for p in sorted(lams)]
     if cfg.get("epsilon") in (1, -1):
         descriptors.append(sigma_descriptor(2, epsilon=cfg["epsilon"]).to_json_dict())
     if cfg.get("r") is not None:

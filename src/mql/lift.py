@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 from .formal import (
@@ -129,17 +130,21 @@ class CoefficientTable:
     def _check_rows(self):
         """Unless the rows are exactly the valid indices <= k_max, raise
         ValueError naming the first missing row, else the first row that is
-        not one.  The keys are distinct, so as many rows as valid indices, each
-        valid index among them, means exactly those."""
-        entries = self.entries
-        valid = [(base * m, u, n) for u, n, base, ms in _index_blocks(self.k_max) for m in ms]
-        if len(valid) == len(entries) and all(map(entries.__contains__, valid)):
-            return
-        missing = [key for key in valid if key not in entries]
-        if missing:
+        not one.  Each block holds an index, so the first rows + 1 blocks hold
+        as many as the rows only if they are all the blocks, and then each
+        among the distinct keys means exactly those; else a first missing row
+        has K <= min(k_max, 4 rows + 2), as the (K, 0, 1) there outnumber the
+        rows.  So the work grows with the rows, not with k_max."""
+        entries, rows = self.entries, len(self.entries)
+        blocks = list(islice(_index_blocks(self.k_max), rows + 1))
+        exact = sum(len(ms) for *_, ms in blocks) == rows
+        valid = (((b * m, u, n) for u, n, b, ms in blocks for m in ms) if exact
+                 else valid_indices(min(self.k_max, 4 * rows + 2)))
+        if missing := [key for key in valid if key not in entries]:
             self._read(min(missing))  # raises, naming the row
-        bad = (k for k in sorted(entries) if k[0] > self.k_max or not is_valid_index(*k))
-        raise ValueError(f"row {tuple(next(bad))} is not a valid index <= k_max={self.k_max}")
+        if not exact:
+            bad = (k for k in sorted(entries) if k[0] > self.k_max or not is_valid_index(*k))
+            raise ValueError(f"row {tuple(next(bad))} is not a valid index <= k_max={self.k_max}")
 
 
 def _index_blocks(k_max: int):
@@ -340,9 +345,7 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
             err = rel_err(reduce_eigen2(lhs, eps), reduce_eigen2(rhs, eps))
             record(err, idx, dyadic_failures)
     passed = not dyadic_failures and not divisor_failures
-    return MaassCheckReport(
-        passed, eps, checked, max_err, dyadic_failures, divisor_failures
-    )
+    return MaassCheckReport(passed, eps, checked, max_err, dyadic_failures, divisor_failures)
 
 
 def random_maass_table(epsilon: int, seed: int, k_max: int) -> CoefficientTable:

@@ -565,6 +565,26 @@ def test_satake_writes_no_output_unless_both_open(tmp_path, capsys, blocked, exi
         assert path.read_text() == (fresh / path.name).read_text()
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_satake_rejects_one_file_for_both_outputs(tmp_path, capsys, existed, spelling):
+    """--out and --out-csv naming one file, however spelled, exit 2 and leave
+    it as it was, rather than writing the JSON and the CSV into it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambdas": {"3": 1.5}}))
+    path = tmp_path / "r.json"
+    if existed:
+        path.write_text("old bytes\n")
+    other = path if spelling == "same" else tmp_path / "." / "r.json"
+    argv = ["satake", "--config", str(cfg), "--out-csv", str(path), "--out", str(other)]
+    assert run_cli(argv) == 2
+    assert f"cannot write {other}: the same file as another output" in capsys.readouterr().err
+    if existed:
+        assert path.read_text() == "old bytes\n"
+    else:
+        assert not path.exists()
+
+
 @pytest.mark.parametrize("lam", [1e10, -1e10, 1e200])
 def test_satake_large_lambda(tmp_path, capsys, lam):
     """Far outside [-2, 2] the small root is the reciprocal of the large one,

@@ -3,6 +3,7 @@ Maass-space table construction."""
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -267,6 +268,26 @@ def test_check_maass_rejects_a_swapped_row():
     t.entries[CanonicalIndex(4, 0, 1)] = 1.0
     with pytest.raises(ValueError, match=r"missing row \(64, 5, 1\) of a table with k_max=64"):
         check_maass(t)
+
+
+@pytest.mark.parametrize("rows", [[], [(6, 0, 1)]], ids=["no-rows", "one-row"])
+def test_table_load_work_grows_with_the_rows_not_k_max(rows):
+    # a table file may name any k_max; checking its rows must not list the
+    # ~0.6 k_max valid indices below it
+    obj = {
+        "backend": "numeric",
+        "entries": [{"K": K, "u": u, "n": n, "value": 1.0} for K, u, n in rows],
+        "epsilon": 1,
+        "k_max": 10**6,
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"missing row \(2, 0, 1\) of a table with k_max=1000000"):
+            table_from_json_dict(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_value_at_a_missing_row_raises():
