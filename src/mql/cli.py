@@ -172,7 +172,7 @@ def _load_json(path, what, parse=lambda obj: obj):
     """parse of an input file's JSON value; a CliError names the file if any step fails."""
     try:
         obj = json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or too deep
         raise CliError(f"malformed JSON in {what} file {path}: {exc}") from None
     try:
         return parse(obj)

@@ -24,10 +24,10 @@ Presentation layers (the Hecke engine in particular) multiply by sqrt(K) to
 recover raw coefficients.  Entries at invalid indices, or with u < 0, read as
 the plain number 0 on both backends (formal values add to and compare with
 it); lookups beyond the table bound or of a missing row raise, naming it,
-since a silent zero would corrupt eigenvalue extraction downstream.  Table
-files are checked row by row on load: a numeric value that is not a finite
-JSON number (a bool or a numeric string is not one), or a formal value that
-is not a JSON object, is rejected with the row's index.
+since a silent zero would corrupt eigenvalue extraction downstream.  One
+rule, CoefficientTable._check_rows, decides that a table's rows are exactly
+the valid indices with K <= k_max: a table file passes it on load, and
+check_maass before it reads each neighbour straight from the entries.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Optional
 
 from .formal import (
@@ -111,7 +110,7 @@ class CoefficientTable:
     def value_at(self, K: int, u: int, n: int):
         """Entry at (K, u, n); the number 0 at invalid indices or negative u,
         on either backend; error beyond the bound and at a missing row."""
-        if u < 0 or not is_valid_index(K, u, n):
+        if not is_valid_index(K, u, n):
             return 0
         return self._read((K, u, n))
 
@@ -129,22 +128,22 @@ class CoefficientTable:
 
     def _check_rows(self):
         """Unless the rows are exactly the valid indices <= k_max, raise
-        ValueError naming the first missing row, else the first row that is
-        not one.  Each block holds an index, so the first rows + 1 blocks hold
-        as many as the rows only if they are all the blocks, and then each
-        among the distinct keys means exactly those; else a first missing row
-        has K <= min(k_max, 4 rows + 2), as the (K, 0, 1) there outnumber the
-        rows.  So the work grows with the rows, not with k_max."""
-        entries, rows = self.entries, len(self.entries)
-        blocks = list(islice(_index_blocks(self.k_max), rows + 1))
-        exact = sum(len(ms) for *_, ms in blocks) == rows
-        valid = (((b * m, u, n) for u, n, b, ms in blocks for m in ms) if exact
-                 else valid_indices(min(self.k_max, 4 * rows + 2)))
-        if missing := [key for key in valid if key not in entries]:
-            self._read(min(missing))  # raises, naming the row
-        if not exact:
-            bad = (k for k in sorted(entries) if k[0] > self.k_max or not is_valid_index(*k))
-            raise ValueError(f"row {tuple(next(bad))} is not a valid index <= k_max={self.k_max}")
+        ValueError naming the least missing row, else the least row that is
+        not one.  One walk over _index_blocks looks up each valid index; until
+        a miss each step finds a distinct row, so it takes at most rows + 1
+        steps.  The least missing row has K <= min(k_max, 4 rows + 2), as the
+        (K, 0, 1) there outnumber the rows: the work grows with the rows."""
+        entries, k_max = self.entries, self.k_max
+        walked = 0
+        for u, n, b, ms in _index_blocks(k_max):
+            for m in ms:
+                if (b * m, u, n) not in entries:
+                    valid = valid_indices(min(k_max, 4 * len(entries) + 2))
+                    self._read(next(k for k in valid if k not in entries))  # raises
+            walked += len(ms)
+        if walked < len(entries):
+            bad = min(k for k in entries if k[0] > k_max or not is_valid_index(*k))
+            raise ValueError(f"row {tuple(bad)} is not a valid index <= k_max={k_max}")
 
 
 def _index_blocks(k_max: int):
@@ -305,15 +304,15 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
     written, the dyadic recurrence exactly after the eigenform-at-2 reduction.
     Numeric backend: both are checked to the relative tolerance, and a NaN
     fails.  An exact mismatch has no finite size, so it is listed but left out
-    of max_rel_err.  All indices a check refers to are below the checked index,
-    so nothing can leave the table bound here.  A bound below 4 raises
-    ValueError: no index there has u >= 1 or n > 1, so nothing would be checked;
-    so do rows that are not the valid indices with K <= k_max.
+    of max_rel_err.  A bound below 4 raises ValueError: no index there has
+    u >= 1 or n > 1, so nothing would be checked; so do rows that are not the
+    valid indices with K <= k_max.  Past that check, every index a check
+    refers to is a valid one below the checked index, so a row, read directly.
     """
     if table.k_max < 4:
         raise ValueError(f"table bound {table.k_max} is below 4: no index to check")
     table._check_rows()
-    eps = table.epsilon
+    eps, entries = table.epsilon, table.entries
     # Fraction * float is float(Fraction) * float: a float entry takes f1, f2.
     a1, a2 = Fraction(-3 * eps, 2), Fraction(-1, 2)
     f1, f2 = float(a1), float(a2)
@@ -332,15 +331,15 @@ def check_maass(table: CoefficientTable, tolerance: float = 1e-8) -> MaassCheckR
 
     for idx in table.indices():
         K, u, n = idx
-        lhs = table.entries[idx]
+        lhs = entries[idx]
         if n > 1:
-            rhs = sum(table.value_at(K // (d * d), u, 1) for d in _odd_divisors(n))
+            rhs = sum(entries[K // (d * d), u, 1] for d in _odd_divisors(n))
             record(rel_err(lhs, rhs), idx, divisor_failures)
         if u >= 1:
-            v = table.value_at(K // 2, u - 1, n)
+            v = entries[K // 2, u - 1, n]
             rhs = (f1 if type(v) is float else a1) * v
             if u >= 2:
-                v = table.value_at(K // 4, u - 2, n)
+                v = entries[K // 4, u - 2, n]
                 rhs = rhs + (f2 if type(v) is float else a2) * v
             err = rel_err(reduce_eigen2(lhs, eps), reduce_eigen2(rhs, eps))
             record(err, idx, dyadic_failures)
@@ -411,12 +410,11 @@ def table_from_json_dict(obj: dict) -> CoefficientTable:
     """Inverse of table_to_json_dict.
 
     k_max, epsilon and each row's K, u and n must be JSON integers; the first
-    that is not raises ValueError naming its field or row.  The rows must be
-    exactly the valid indices with K <= k_max, each once.  A row with an
-    invalid index, K beyond k_max, a repeated index, a numeric value that is
-    not a finite JSON number (a bool or a string included) or a formal value
-    that is not a JSON object raises ValueError naming the row's (K, u, n);
-    so does the first missing index.
+    that is not raises ValueError naming its field or row.  A row with K
+    beyond k_max, a repeated index, a numeric value that is not a finite JSON
+    number (a bool or a string included) or a formal value that is not a JSON
+    object raises ValueError naming the row's (K, u, n); then _check_rows
+    names the least missing row, else the least row that is not a valid index.
     """
     backend = obj["backend"]
     for field in ("k_max", "epsilon"):
@@ -430,8 +428,6 @@ def table_from_json_dict(obj: dict) -> CoefficientTable:
         if not (_is_int(K) and _is_int(u) and _is_int(n)):
             raise ValueError(f"entries[{pos}]: K, u, n = {K!r}, {u!r}, {n!r} are not all integers")
         idx = CanonicalIndex(K, u, n)
-        if not is_valid_index(*idx):
-            raise ValueError(f"invalid index {tuple(idx)} in table file")
         if idx.K > k_max:
             raise ValueError(f"row {tuple(idx)} exceeds the table bound k_max={k_max}")
         if idx in entries:

@@ -302,13 +302,13 @@ def is_valid_index(K: int, u: int, n: int) -> bool:
 
     The criterion is that the cofactor m = K / (2**u * n**2) is an integer
     congruent to 2 mod 4; equivalently a representative of the index exists.
+    For u >= 0 and odd n >= 1 that is _lattice_index's closed form,
+    (K & -K).bit_length() - 2 == u and K % n**2 == 0; no 2**u is formed, so
+    the cost does not depend on u.
     """
     if K < 1 or u < 0 or n < 1 or n % 2 == 0:
         return False
-    den = (1 << u) * n * n
-    if K % den:
-        return False
-    return (K // den) % 4 == 2
+    return (K & -K).bit_length() - 2 == u and K % (n * n) == 0
 
 
 def _norm_tuples(m: int) -> list:

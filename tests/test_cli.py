@@ -397,6 +397,35 @@ HUGE_PRIME = 10**18 + 3
             "table file not found: {missing}/table.json",
             id="satake-missing-table",
         ),
+        # an input file holding an integer past Python's 4,300-digit limit
+        pytest.param(
+            ["lift", "--config", "{digits}"], "malformed JSON in config file {digits}",
+            id="config-int-past-digit-limit",
+        ),
+        pytest.param(
+            ["check-maass", "--table", "{digits}"], "malformed JSON in table file {digits}",
+            id="table-int-past-digit-limit",
+        ),
+        pytest.param(
+            ["lift", "--backend", "numeric", "--source", "{digits}"],
+            "malformed JSON in source form file {digits}",
+            id="source-int-past-digit-limit",
+        ),
+        pytest.param(
+            ["lift", "--config", "{deep}"], "malformed JSON in config file {deep}",
+            id="config-nested-past-recursion-limit",
+        ),
+        # the row check names a row swapped for, or added as, an invalid index
+        pytest.param(
+            ["check-maass", "--table", "{swapped64}"],
+            "missing row (64, 5, 1) of a table with k_max=64",
+            id="table-row-swapped-for-invalid-index",
+        ),
+        pytest.param(
+            ["check-maass", "--table", "{extra64}"],
+            "row (4, 0, 1) is not a valid index <= k_max=64",
+            id="table-extra-invalid-index",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):
@@ -444,8 +473,15 @@ def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, n
         ),
         "numeric3": table_to_json_dict(build_lift_table(SourceForm(1, {1: 0.5}), 3)),
         "malformed": b'{"k_max": ',
+        "digits": b'{"k_max": ' + b"9" * 5000 + b"}",
+        "deep": b"[" * 100_000,
         "non_utf8": b'{"k_max": "\xff"}',
     }
+    rows, four = configs["numeric64"]["entries"], {"K": 4, "u": 0, "n": 1, "value": 0.5}
+    configs["swapped64"] = dict(
+        configs["numeric64"], entries=[r for r in rows if r["K"] != 64] + [four]
+    )
+    configs["extra64"] = dict(configs["numeric64"], entries=rows + [four])
     obj = json.loads(numeric_table.read_text())
     cut = obj["entries"][-40]
     obj["entries"] = obj["entries"][:-40]

@@ -1,14 +1,17 @@
 """Lift tables, the inverse extraction, the recurrence checker, and
 Maass-space table construction."""
 
+import ast
 import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mql.lift
 from mql.cli import _table_json_text
 from mql.formal import FormalCoefficient, UnassignedSymbolError, evaluate, reduce_eigen2
 from mql.lift import (
@@ -288,6 +291,35 @@ def test_table_load_work_grows_with_the_rows_not_k_max(rows):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_table_load_names_a_row_with_a_huge_u():
+    # a row's u may be any JSON integer; judging it must not form 2**u
+    obj = table_to_json_dict(random_maass_table(1, seed=5, k_max=64))
+    obj["entries"].append({"K": 2, "u": 10**8, "n": 1, "value": 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"row \(2, 100000000, 1\) is not a valid index <= k_max=64"):
+            table_from_json_dict(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_only_check_rows_judges_the_rows():
+    # the loader leaves the row rule to _check_rows, and check_maass reads its
+    # neighbours straight from the entries once that rule has passed
+    tree = ast.parse(Path(mql.lift.__file__).read_text())
+    seen = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("table_from_json_dict", "check_maass"):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            assert not names & {"is_valid_index", "value_at"}, node.name
+            assert "_check_rows" in names, node.name
+            seen.append(node.name)
+    assert sorted(seen) == ["check_maass", "table_from_json_dict"]
 
 
 def test_value_at_a_missing_row_raises():

@@ -4,12 +4,14 @@ norm-p class combinatorics, checked against independent brute-force oracles."""
 import itertools
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from mql.lift import valid_indices
 from mql.quaternion import (
     CanonicalIndex,
     HurwitzQuaternion,
@@ -409,6 +411,33 @@ def test_validity_predicate_matches_legendre():
             assert legendre_ok(m - 1)
         else:
             assert not is_valid_index(m, 0, 1)
+
+
+INDEX_BOUND = 2048
+VALID_INDICES = frozenset(valid_indices(INDEX_BOUND))
+
+
+@given(
+    st.one_of(
+        st.sampled_from(sorted(VALID_INDICES)),
+        st.tuples(st.integers(-2, INDEX_BOUND), st.integers(-2, 40), st.integers(-1, 99)),
+    )
+)
+@example((2, 10**12, 1))
+def test_is_valid_index_matches_the_enumeration(idx):
+    assert is_valid_index(*idx) == (idx in VALID_INDICES)
+
+
+def test_is_valid_index_work_does_not_grow_with_u():
+    # 2**u alone would take u/8 bytes, 12.5 MB here; the closed form reads K's low bits
+    tracemalloc.start()
+    try:
+        assert not is_valid_index(2, 10**8, 1)
+        assert not is_valid_index(2 << 40, 10**8, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_decompose_representative_roundtrip_exhaustive():
