@@ -134,15 +134,20 @@ def _json_text(x, indent=""):
         return encode_basestring_ascii(x)
     if isinstance(x, int) and not isinstance(x, bool):
         return int.__repr__(x)
+    # a str member (each symbol of a formal value) is written in place
     inner = indent + "  "
     if isinstance(x, dict) and x:
         body = ",".join([
-            f"\n{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            f"\n{inner}{encode_basestring_ascii(k)}: "
+            f"{encode_basestring_ascii(v) if type(v) is str else _json_text(v, inner)}"
             for k, v in sorted(x.items())
         ])
         return f"{{{body}\n{indent}}}"
     if isinstance(x, (list, tuple)) and x:
-        body = ",".join([f"\n{inner}{_json_text(v, inner)}" for v in x])
+        body = ",".join([
+            f"\n{inner}{encode_basestring_ascii(v) if type(v) is str else _json_text(v, inner)}"
+            for v in x
+        ])
         return f"[{body}\n{indent}]"
     return json.dumps(x)  # true, false, null, {} or []
 

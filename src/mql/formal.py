@@ -210,6 +210,12 @@ def evaluate(x: FormalCoefficient, values: dict):
     return total
 
 
+def _check_epsilon(epsilon) -> None:
+    """Raise unless epsilon, the sign at the even place, is 1 or -1."""
+    if epsilon not in (1, -1):
+        raise ValueError(f"epsilon must be +-1, got {epsilon}")
+
+
 def reduce_eigen2(x, epsilon: int):
     """Rewrite C(2M) -> (-epsilon/2) C(M) until only odd symbols remain; a
     number has no symbols and is returned unchanged.
@@ -217,8 +223,7 @@ def reduce_eigen2(x, epsilon: int):
     A term n C(2**t M) becomes (-epsilon)**t n C(M) / 2**t; over the common
     denominator den * 2**top, top the largest t, its numerator is shifted
     left by top - t."""
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    _check_epsilon(epsilon)
     if not isinstance(x, FormalCoefficient):
         return x
     top = max(((m & -m).bit_length() for m in x._num), default=1) - 1

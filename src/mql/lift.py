@@ -42,6 +42,7 @@ from typing import Optional
 from .formal import (
     FormalCoefficient,
     UnassignedSymbolError,
+    _check_epsilon,
     combine,
     formal_from_json_obj,
     formal_to_json_obj,
@@ -81,8 +82,7 @@ class SourceForm:
     values: Optional[dict] = None
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass
@@ -99,8 +99,7 @@ class CoefficientTable:
     backend: str
 
     def __post_init__(self):
-        if self.epsilon not in (1, -1):
-            raise ValueError(f"epsilon must be +-1, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.backend not in ("formal", "numeric"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -172,8 +171,7 @@ def lift_coefficient(index, epsilon: int) -> FormalCoefficient:
     K, u, n = index
     if not is_valid_index(K, u, n):
         raise ValueError(f"invalid index {(K, u, n)}")
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    _check_epsilon(epsilon)
     h = K // ((2 << u) * n * n)  # m/2 for K = 2**u n**2 m
     terms = _block_terms(u, n, epsilon)
     return FormalCoefficient._from_numerators({c * h: s for c, s in terms})
@@ -262,8 +260,6 @@ def source_coefficient(table: CoefficientTable, N: int):
     Returns a(2N, u, 1) + epsilon * a(N, u-1, 1) with u the dyadic depth of N
     (TableBoundsError for 2N > k_max); on a formal lifted table this is C(N).
     """
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
     u = dyadic_depth(N)
     return combine(
         table.value_at(2 * N, u, 1), table.value_at(N, u - 1, 1), 1, table.epsilon
@@ -358,8 +354,7 @@ def random_maass_table(epsilon: int, seed: int, k_max: int) -> CoefficientTable:
     the largest power of two up to k_max // 2, so that every halving is an
     exact shift, and lifted as build_lift_table lifts it.
     """
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    _check_epsilon(epsilon)
     rng = random.Random(seed)
     top = max(k_max // 2, 1).bit_length() - 1
     den = math.lcm(*range(1, 25)) << top

@@ -43,10 +43,12 @@ coordinates picks out the few elements that can be one, so only those build
 their orbit and only the p + 1 representatives are wrapped.
 
 ``HurwitzQuaternion`` is the boundary type: every public function takes and
-returns it.  Its constructor always checks that the doubled coordinates share
-one parity; coordinates the package computes itself, already known to lie in
-the order, are wrapped without the check by ``_wrap``.  Inside the package the
-hot loops (the Hecke operators, the divisibility sweep, unit-class orbits,
+returns it.  An element is one tuple of doubled coordinates, ``dc``, read by
+``a`` to ``d`` and never changed, so a cached element stays what it was.  Its
+constructor always checks that the doubled coordinates share one parity;
+coordinates the package computes itself, already known to lie in the order,
+are wrapped without the check by ``_wrap``.  Inside the package the hot loops
+(the Hecke operators, the divisibility sweep, unit-class orbits,
 norm enumeration, ``decompose``) run on plain ``(a, b, c, d)`` tuples of
 doubled coordinates through a small private kernel, which spares a wrapper
 object per intermediate result: ``_mul`` (the product formula),
@@ -69,6 +71,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import add, attrgetter, sub
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -90,49 +93,42 @@ __all__ = [
 
 
 class HurwitzQuaternion:
-    """A quaternion of the Hurwitz order in doubled coordinates."""
+    """A quaternion of the Hurwitz order, held as its doubled coordinates ``dc``."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ("_dc",)
 
     def __init__(self, a: int, b: int, c: int, d: int):
         p = a & 1
         if (b & 1) != p or (c & 1) != p or (d & 1) != p:
             raise ValueError(f"doubled coordinates must share one parity: {(a, b, c, d)}")
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        self._dc = (a, b, c, d)
 
     @classmethod
     def from_integral(cls, x: int, y: int, z: int, w: int) -> "HurwitzQuaternion":
         """The element x + y*i + z*j + w*k with integer coordinates."""
         return _wrap((2 * x, 2 * y, 2 * z, 2 * w))
 
-    @property
-    def dc(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
+    dc = property(attrgetter("_dc"))
+    a = property(lambda self: self._dc[0])
+    b = property(lambda self: self._dc[1])
+    c = property(lambda self: self._dc[2])
+    d = property(lambda self: self._dc[3])
 
     def __eq__(self, other):
-        return (
-            isinstance(other, HurwitzQuaternion)
-            and self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-        )
+        return isinstance(other, HurwitzQuaternion) and self._dc == other._dc
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(self._dc)
 
     def __lt__(self, other):
-        return self.dc < other.dc
+        return self._dc < other._dc
 
     def __repr__(self):
-        return f"HurwitzQuaternion({self.a}, {self.b}, {self.c}, {self.d})"
+        return f"HurwitzQuaternion{self._dc}"
 
     def __str__(self):
         parts = []
-        for v, unit in zip(self.dc, ("", "i", "j", "k")):
+        for v, unit in zip(self._dc, ("", "i", "j", "k")):
             if v == 0:
                 continue
             q = Fraction(v, 2)
@@ -150,57 +146,56 @@ class HurwitzQuaternion:
         return head + "".join(parts[1:])
 
     def __add__(self, other):
-        return _wrap((self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d))
+        return _wrap(tuple(map(add, self._dc, other._dc)))
 
     def __sub__(self, other):
-        return _wrap((self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d))
+        return _wrap(tuple(map(sub, self._dc, other._dc)))
 
     def __neg__(self):
-        return _wrap((-self.a, -self.b, -self.c, -self.d))
+        return _wrap(tuple(-v for v in self._dc))
 
     def __mul__(self, other):
-        return _wrap(
-            _mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d))
-        )
+        return _wrap(_mul(self._dc, other._dc))
 
     def conjugate(self) -> "HurwitzQuaternion":
-        return _wrap(_conj(self.dc))
+        return _wrap(_conj(self._dc))
 
     def norm(self) -> int:
         """Reduced norm; a non-negative integer on the order."""
-        return (self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d) // 4
+        return sum(v * v for v in self._dc) // 4
 
     def trace(self) -> int:
         """Reduced trace x + conj(x); equals the first doubled coordinate."""
-        return self.a
+        return self._dc[0]
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return not any(self._dc)
 
     def scale(self, k: int) -> "HurwitzQuaternion":
-        return _wrap((self.a * k, self.b * k, self.c * k, self.d * k))
+        return _wrap(tuple(v * k for v in self._dc))
 
     def divide_scalar(self, s: int) -> Optional["HurwitzQuaternion"]:
         """self / s when the quotient stays in the order, else None."""
-        q = _div_scalar((self.a, self.b, self.c, self.d), s)
+        q = _div_scalar(self._dc, s)
         return None if q is None else _wrap(q)
 
     def integer_coords(self) -> Optional[tuple]:
-        """(x, y, z, w) when all coordinates are integers, else None."""
-        if (self.a | self.b | self.c | self.d) & 1:
+        """(x, y, z, w) when all coordinates are integers, else None; the
+        doubled coordinates share the parity of the first."""
+        if self._dc[0] & 1:
             return None
-        return (self.a // 2, self.b // 2, self.c // 2, self.d // 2)
+        return tuple(v // 2 for v in self._dc)
 
     def in_dual_lattice(self) -> bool:
         """Integral coordinates with even coordinate sum (= even reduced norm)."""
-        return _in_dual_lattice((self.a, self.b, self.c, self.d))
+        return _in_dual_lattice(self._dc)
 
     def is_primitive(self) -> bool:
         """Nonzero dual-lattice element with norm 2 mod 4 and coordinate gcd 1,
         that is, of canonical index (K, 0, 1).  The closed form needs no
         membership test first: u = 0 means K = 2 mod 4, while a point with odd
         doubled coordinates has odd K."""
-        return not self.is_zero() and _lattice_index(self.dc)[1:] == (0, 1)
+        return not self.is_zero() and _lattice_index(self._dc)[1:] == (0, 1)
 
 
 # -- tuple kernel: doubled coordinates (a, b, c, d) as plain int tuples ------
@@ -228,7 +223,7 @@ def _wrap(x: tuple) -> HurwitzQuaternion:
     built without the constructor's check; every build inside the package
     goes through here."""
     q = object.__new__(HurwitzQuaternion)
-    q.a, q.b, q.c, q.d = x
+    q._dc = x
     return q
 
 

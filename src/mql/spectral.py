@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .formal import reduce_eigen2, rel_err
+from .formal import _check_epsilon, reduce_eigen2, rel_err
 from .lift import CoefficientTable, SourceForm, source_coefficient
 from .quaternion import _smallest_odd_prime_factor
 
@@ -199,8 +199,7 @@ def synth_eigenform(epsilon: int, lambdas: dict, n_max: int) -> SyntheticEigenfo
     Deterministic; raises MissingLambdaError when a needed odd prime has no
     supplied eigenvalue.
     """
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be +-1, got {epsilon}")
+    _check_epsilon(epsilon)
     c = {1: 1.0}
     for N in range(2, n_max + 1):
         if N % 2 == 0:

@@ -305,11 +305,8 @@ def test_even_eigenform_equivalence():
 
 # 12 -----------------------------------------------------------------------
 
-def test_cli_determinism(tmp_path):
-    from cli_driver import run_full_suite
-
-    a = run_full_suite(str(tmp_path / "run_a"), "0")
-    b = run_full_suite(str(tmp_path / "run_b"), "31337")
+def test_cli_determinism(cli_suite_runs):
+    a, b = cli_suite_runs["0"], cli_suite_runs["31337"]
     ok = a.keys() == b.keys() and all(a[k] == b[k] for k in a) and len(a) >= 10
     report(ok, "two runs of the full command-line suite produce byte-identical "
                "artifacts")

@@ -1025,11 +1025,9 @@ PINNED_DIGESTS = {
 }
 
 
-def test_cli_suite_matches_pinned_digests(tmp_path):
-    from cli_driver import run_full_suite
-
-    artifacts = run_full_suite(str(tmp_path), "0")
-    assert set(artifacts) == set(PINNED_DIGESTS) | {"satake.json", "satake.csv"}
-    for name, digest in PINNED_DIGESTS.items():
-        got = hashlib.sha256(artifacts[name]).hexdigest()
-        assert got == digest, f"artifact {name} changed"
+def test_cli_suite_matches_pinned_digests(cli_suite_runs):
+    for seed, artifacts in cli_suite_runs.items():
+        assert set(artifacts) == set(PINNED_DIGESTS) | {"satake.json", "satake.csv"}, seed
+        for name, digest in PINNED_DIGESTS.items():
+            got = hashlib.sha256(artifacts[name]).hexdigest()
+            assert got == digest, f"artifact {name} changed under PYTHONHASHSEED={seed}"

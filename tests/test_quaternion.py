@@ -83,6 +83,16 @@ def test_parity_validation():
     HurwitzQuaternion(2, 0, -4, 6)
 
 
+def test_a_cached_unit_cannot_be_changed():
+    before = [u.dc for u in units()]
+    u = units()[0]
+    for name in ("a", "b", "c", "d", "dc"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, 4)
+    assert [u.dc for u in units()] == [u.dc for u in elements_of_norm(1)] == before
+    assert all(u.norm() == 1 for u in units())
+
+
 def test_conjugate_is_antiautomorphism():
     rng = random.Random(2)
     for _ in range(500):
@@ -726,6 +736,24 @@ def test_decompose_inverts_representative(u, h, j):
     n, m = 2 * h + 1, 4 * j + 2
     idx = CanonicalIndex((1 << u) * n * n * m, u, n)
     assert decompose(representative(idx))[0] == idx
+
+
+same_parity_tuples = st.builds(
+    lambda x, half: tuple(2 * v + half for v in x),
+    st.tuples(coords, coords, coords, coords),
+    st.integers(0, 1),
+)
+
+
+@given(same_parity_tuples, st.one_of(same_parity_tuples, st.none()))
+def test_element_is_its_doubled_coordinate_tuple(t, s):
+    s = t if s is None else s
+    q, r = HurwitzQuaternion(*t), HurwitzQuaternion(*s)
+    assert q.dc == t and (q.a, q.b, q.c, q.d) == t
+    assert (q == r) == (t == s) and (q != r) == (t != s)
+    assert (q < r) == (t < s) and (r < q) == (s < t)
+    assert hash(q) == hash(t)
+    assert repr(q) == "HurwitzQuaternion({}, {}, {}, {})".format(*t)
 
 
 @given(order_elements, order_elements)
