@@ -187,7 +187,11 @@ def _load_json(path, what, parse=lambda obj: obj):
 
 #: What each config key the handlers read must hold: a description and a test.
 _CONFIG_TYPES = {
-    "k_max": ("an integer of at least 2", lambda v: _is_int(v) and v >= 2),
+    # past sys.maxsize a table's index ranges are longer than a list can count
+    "k_max": (
+        f"an integer of at least 2 and at most {sys.maxsize}",
+        lambda v: _is_int(v) and 2 <= v <= sys.maxsize,
+    ),
     "n_max": ("an integer of at least 1", lambda v: _is_int(v) and v >= 1),
     "seed": ("an integer", _is_int),
     "prime": ("an integer", _is_int),

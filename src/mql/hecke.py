@@ -23,36 +23,34 @@ trivially and are not materialized.
 
 The public functions take and return ``HurwitzQuaternion`` values; the class
 sums themselves run on plain doubled-coordinate tuples through the private
-kernel of the quaternion module (product, the divided products, odd content,
-the cached class tuples), so no wrapper object is built per product.  The
-families divided by an odd p (the divided families of H2 and H4, the middle
-sum of H3) go through ``_divided_products``, which forms only the products p
-divides.  It skips nothing that exact division would keep, and a skipped
-product would have read as +0.0 in a sum that starts at 0, so the images do
-not change by a bit.
+kernel of the quaternion module, so no wrapper object is built per term.
 
-Each term's index is known before its product is formed, save its odd
-content.  The norm is multiplicative and p is odd, so every term of one
-family has the same norm K' and the same u' = v2(K') - 1: Kp for the kept
-products of H2 and H4, K/p for the divided ones, K/p^2, p^2 K and K for the
-three parts of H3, 2K and K/2 for T2 (u' = u + 1 and u - 1).  A point of the
-order with even norm lies in the dual lattice, and every product read has
-even norm, so none is tested for membership.  T2 and the outer terms of H3
-need no product at all: multiplying by w keeps the odd content n, beta/p
-lies in the order exactly when p | n, with content n/p, and p beta has
-content p n.  At u = 0, beta w^-1 has odd norm K/2, lies off the dual
-lattice and reads as zero, so it is not read.  Each family is summed by the
-view's ``add``, one term at a time into a running float, in the order the
-terms were listed; the H3 middle sum threads a single float through all its
-families, so no sum is regrouped.
+Each term's index is known without forming its product.  The norm is
+multiplicative and p is odd, so every term of one family has the same norm
+K' and the same u' = v2(K') - 1: Kp for the kept products of H2 and H4, K/p
+for the divided ones, K/p^2, p^2 K and K for the three parts of H3, 2K and
+K/2 for T2 (u' = u + 1 and u - 1).  A point of the order with even norm lies
+in the dual lattice, and every product read has even norm, so none is
+tested for membership.  T2 and the outer terms of H3 need no product at all:
+multiplying by w keeps the odd content n, beta/p lies in the order exactly
+when p | n, with content n/p, and p beta has content p n.  At u = 0,
+beta w^-1 has odd norm K/2, lies off the dual lattice and reads as zero, so
+it is not read.  The class sums read each class's odd content off the
+pattern of beta mod p (see ``_action``): H2 and H4 form no product, and H3
+forms p + 1, one per left class.  A divided product p does not divide reads
+as +0.0 in a sum that starts at 0, so it is skipped, as exact division
+would skip it.  Each family adds its terms one at a time into a running
+float, in class order, and the H3 middle sum threads a single float through
+all its families, so no sum is regrouped.  The literal class products
+survive in ``divisibility_counts`` and in the tests' reference.
 
 Every read of the table goes through a raw view, which forms
-float(a) * sqrt(K) on the first read of an index and keeps it, and each
-public call makes exactly one: ``stability_sweep`` shares its view, and one
-list of representatives, across all its images, and
-``verify_eigen_relations`` across its bases, every operator ratio and its
-lambda_p ladders.  An index that fails ``is_valid_index`` raises
-ArithmeticError instead of reading as zero.  ``stability_sweep`` checks each
+float(a) * sqrt(K) on the first read of an index and keeps it, as it keeps
+the class patterns met so far, and each public call makes exactly one:
+``stability_sweep`` shares its view, and one list of representatives,
+across all its images, and ``verify_eigen_relations`` across its bases,
+every operator ratio and its lambda_p ladders.  An index that fails
+``is_valid_index`` raises ArithmeticError instead of reading as zero.  ``stability_sweep`` checks each
 image by ``check_maass`` alone; the H3 p-power shift identity is its
 divisor-sum row at (2p^m, 0, p^l).
 
@@ -67,6 +65,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter
 from typing import Optional
 
 from .formal import rel_err
@@ -77,7 +77,6 @@ from .quaternion import (
     _class_tuples,
     _divided_products,
     _mul,
-    _odd_content,
     _smallest_odd_prime_factor,
     decompose,
     is_valid_index,
@@ -145,14 +144,17 @@ class _RawView:
     gives (a Fraction entry times a float is float(entry) times it), so they
     do not depend on the memo; a formal entry raises TypeError.  The index is
     checked with is_valid_index on its first read only; bounds go through
-    ``_read``, so a lookup past the table raises TableBoundsError.
+    ``_read``, so a lookup past the table raises TableBoundsError.  The view
+    also keeps the class pattern of each residue it has met, so a public call
+    shares them across its images and starts with none.
     """
 
-    __slots__ = ("table", "_seen")
+    __slots__ = ("table", "_seen", "_patterns")
 
     def __init__(self, table: CoefficientTable):
         self.table = table
         self._seen = {}
+        self._patterns = {}
 
     def raw(self, key: tuple) -> float:
         """The coefficient at a canonical (K, u, n)."""
@@ -163,22 +165,46 @@ class _RawView:
             value = self._seen[key] = float(self.table._read(key)) * math.sqrt(key[0])
         return value
 
-    def add(self, total: float, K: int, u: int, qs) -> float:
-        """total plus the coefficients at the points qs, in doubled
-        coordinates, added one at a time in order.  Every point must lie in
-        the dual lattice with norm K and 2-adic index u, so only its odd
-        content is read off it."""
-        raw = self.raw
-        for q in qs:
-            total += raw((K, u, _odd_content(q)))
-        return total
+    def pattern(self, x: tuple, p: int) -> tuple:
+        """``_class_pattern(x, p)``, formed once per residue of x mod p."""
+        key = (p, x[0] % p, x[1] % p, x[2] % p, x[3] % p)
+        found = self._patterns.get(key)
+        if found is None:
+            found = self._patterns[key] = _class_pattern(x, p)
+        return found
+
+
+def _class_pattern(x: tuple, p: int) -> tuple:
+    """The pattern (L, R) of the point x at p: L[j] is 1 when p divides
+    conj(alpha_j) x and R[j] is 1 when p divides x alpha_j, else 0, over the
+    norm-p class representatives alpha_j in order.  The products are formed
+    by ``_divided_products``."""
+    reps, conjs = _class_tuples(p)
+    return (
+        tuple(len(_divided_products(x, (c,), p, True)) for c in conjs),
+        tuple(len(_divided_products(x, (a,), p, False)) for a in reps),
+    )
 
 
 def _action(op: HeckeOperator, view: _RawView):
     """The operator as a function act(idx, b) from an index and the doubled
     coordinates b of a representative of it to the raw image coefficient,
-    reading the source through ``view``."""
-    raw, add = view.raw, view.add
+    reading the source through ``view``.
+
+    The class sums read each term's index off a pattern, not off a product.
+    Write b = n x with x of odd content 1, and let alpha run over the norm-p
+    class representatives.  Lemma: whether p divides conj(alpha) x or
+    x alpha depends on x mod p alone, as p is odd and the raw convolution is
+    bilinear over Z; and such a product has odd content 1 or p, since
+    alpha conj(alpha) = p, so an odd prime q != p, or p^2, dividing it would
+    divide p x and so q or p would divide x.  With (L, R) = ``_class_pattern``
+    of x, conj(alpha_j) beta has content n p^L[j] and beta alpha_j has
+    n p^R[j]; a divided term reads that over p, and is skipped when that is
+    not an integer.  The H3 middle term conj(alpha_j) beta alpha_k / p has
+    content n p^(L[j] + R(g)[k]) / p with g = conj(alpha_j) x / p^L[j], so it
+    takes one product per class j.  The view keeps each residue's pattern.
+    """
+    raw = view.raw
     if op.kind == "T2":
         # beta w has index (2K, u + 1, n), and beta w^-1 = beta conj(w) / 2
         # has (K/2, u - 1, n) for u >= 1: multiplying by w keeps the odd
@@ -190,21 +216,39 @@ def _action(op: HeckeOperator, view: _RawView):
 
         return t2
     p = op.prime
-    reps, conjs = _class_tuples(p)
+    pattern = view.pattern
+
+    def split(b, n):
+        """The odd contents (n p^e) / p for e = 0, 1, 2 (0 where that is not
+        an integer), and x = b / n."""
+        x = b if n == 1 else (b[0] // n, b[1] // n, b[2] // n, b[3] // n)
+        return (0 if n % p else n // p, n, n * p), x
+
+    def add(total, K, u, contents, es, shift):
+        """total plus the coefficient at (K, u, contents[e + shift]) for each
+        e in es, one at a time in order, skipping a content of 0."""
+        for e in es:
+            m = contents[e + shift]
+            if m:
+                total += raw((K, u, m))
+        return total
+
     if op.kind in ("H2", "H4"):
         # Both mirror generators sum over the two families conj(alpha) beta
-        # and beta alpha; H4 divides the first by p, H2 the second.  A
-        # product p does not divide reads as +0.0, so it is not formed.
+        # and beta alpha; H4 divides the first by p, H2 the second.
         left = op.kind == "H4"
-        divided, kept = (conjs, reps) if left else (reps, conjs)
 
         def mirror(idx, b):
-            K, u, _ = idx
-            s1 = add(0.0, K // p, u, _divided_products(b, divided, p, left))
-            s2 = add(0.0, K * p, u, [_mul(b, y) if left else _mul(y, b) for y in kept])
+            K, u, n = idx
+            contents, x = split(b, n)
+            L, R = pattern(x, p)
+            divided, kept = (L, R) if left else (R, L)
+            s1 = add(0.0, K // p, u, contents, divided, 0)
+            s2 = add(0.0, K * p, u, contents, kept, 1)
             return p * (s1 + s2)
 
         return mirror
+    conjs = _class_tuples(p)[1]
 
     def h3(idx, b):
         # beta/p lies in the order exactly when p | n, at (K/p^2, u, n/p);
@@ -212,9 +256,13 @@ def _action(op: HeckeOperator, view: _RawView):
         K, u, n = idx
         total = p * p * (raw((K // (p * p), u, n // p)) if n % p == 0 else 0.0)
         total += p * p * raw((p * p * K, u, p * n))
+        contents, x = split(b, n)
         middle = 0.0
-        for c in conjs:
-            middle = add(middle, K, u, _divided_products(_mul(c, b), reps, p, False))
+        for c, l in zip(conjs, pattern(x, p)[0]):
+            g = _mul(c, x)
+            if l:
+                g = (g[0] // p, g[1] // p, g[2] // p, g[3] // p)
+            middle = add(middle, K, u, contents, pattern(g, p)[1], l)
         return total + p * middle
 
     return h3
@@ -252,16 +300,20 @@ def apply(op: HeckeOperator, table: CoefficientTable, index, beta=None) -> float
 def _images(ops, view: _RawView) -> list:
     """The normalized image of the viewed table under each operator, in one
     sweep: the view and one list of representatives serve every image, each
-    cut at its own bound (valid_indices is sorted by K)."""
+    cut at its own bound (valid_indices is sorted by K).  The list reaches
+    only the largest bound of an operator that reads it; T2 reads none."""
     table = view.table
     bounds = [table.k_max // op.norm_growth for op in ops]
-    reps = [(idx, representative(idx).dc) for idx in valid_indices(max(bounds))]
+    indices = valid_indices(max(bounds))
+    cut = lambda bound: bisect_right(indices, bound, key=attrgetter("K"))
+    read = max((bd for op, bd in zip(ops, bounds) if op.kind != "T2"), default=0)
+    reps = [representative(idx).dc for idx in indices[: cut(read)]]
     images = []
     for op, bound in zip(ops, bounds):
         act = _action(op, view)
+        betas = repeat(None) if op.kind == "T2" else reps
         entries = {
-            idx: act(idx, b) / math.sqrt(idx.K)
-            for idx, b in reps[: bisect_right(reps, bound, key=lambda r: r[0].K)]
+            idx: act(idx, b) / math.sqrt(idx.K) for idx, b in zip(indices[: cut(bound)], betas)
         }
         images.append(CoefficientTable(table.epsilon, bound, entries, "numeric"))
     return images

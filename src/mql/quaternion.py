@@ -55,10 +55,11 @@ object per intermediate result: ``_mul`` (the product formula),
 ``_div_scalar`` (exact division by an integer, or None), ``_divided_products``
 (the quotients by an odd s of the products of one element with a list, each
 product formed one coordinate at a time and dropped at the first coordinate s
-does not divide; s is a prime p or its square), ``_odd_content`` (the n of
-the closed form, which is all the Hecke sums read off a product, its norm
-and u being fixed by its family) and ``_lattice_index`` (the closed-form
-index above).  ``_divided_products`` skips nothing that
+does not divide; s is a prime p or its square) and ``_lattice_index`` (the
+closed-form index above).  The Hecke class sums form almost no products:
+they call ``_divided_products`` once per class and residue mod p, to learn
+which classes p divides, and read every term's index off that.
+``_divided_products`` skips nothing that
 ``_div_scalar`` would keep: for odd s, s divides a product exactly when it
 divides every coordinate of the raw convolution, and the quotient then has
 the product's parity.  Primitivity reads the same closed form: an element is
@@ -257,19 +258,11 @@ def _in_dual_lattice(x: tuple) -> bool:
     return not ((a | b | c | d) & 1 or (a + b + c + d) & 3)
 
 
-def _odd_content(x: tuple) -> int:
-    """The odd part of the coordinate gcd of a nonzero point, the n of its
-    index.  The gcd of the doubled coordinates is twice that of the integer
-    ones, with the same odd part."""
-    g = gcd(*x)
-    return g // (g & -g)
-
-
 def _lattice_index(x: tuple) -> tuple:
     """The canonical index (K, u, n) of a nonzero dual-lattice point, in
-    closed form (see the module docstring).  n is ``_odd_content(x)``,
-    written out here because every decomposition and primitivity test
-    runs this."""
+    closed form (see the module docstring): n is the odd part of the
+    coordinate gcd, as the gcd of the doubled coordinates is twice that of
+    the integer ones, with the same odd part."""
     a, b, c, d = x
     K = (a * a + b * b + c * c + d * d) // 4
     g = gcd(a, b, c, d)

@@ -426,6 +426,12 @@ HUGE_PRIME = 10**18 + 3
             "row (4, 0, 1) is not a valid index <= k_max=64",
             id="table-extra-invalid-index",
         ),
+        # a bound whose index ranges no list can count
+        pytest.param(
+            ["lift", "--backend", "formal", "--kmax", str(10**30)],
+            f"'k_max' = {10**30} from --kmax is not an integer of at least 2 and at most",
+            id="lift-kmax-past-maxsize",
+        ),
     ],
 )
 def test_bad_input_exits_2_naming_value(tmp_path, capsys, numeric_table, argv, named):

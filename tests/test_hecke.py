@@ -13,6 +13,7 @@ from mql.hecke import (
     HeckeOperator,
     _RawView,
     _action,
+    _class_pattern,
     _fit_ratio,
     _images,
     _usable_bases,
@@ -41,12 +42,14 @@ from mql.quaternion import (
     CanonicalIndex,
     _W,
     _W_CONJ,
+    _class_tuples,
+    _conj,
     _div_scalar,
     _in_dual_lattice,
     _lattice_index,
     _mul,
-    _odd_content,
     decompose,
+    divisibility_counts,
     elements_of_norm,
     exact_divide,
     representative,
@@ -279,50 +282,109 @@ def test_apply_matches_quaternion_reference():
     assert checked >= 700
 
 
-def test_invalid_closed_form_index_raises(maass_table, monkeypatch):
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_flipped_pattern_entry_changes_the_image(side, monkeypatch):
+    # at (6, 0, 1) and (18, 0, 1), p = 3 divides m, so exactly one class on
+    # each side divides beta; reading it as not dividing moves a term of H2,
+    # H3 and H4 to another valid index, or drops it
     import mql.hecke
 
-    # a wrong odd content n = 3 makes the kept product index (6, 0, 3) invalid
-    monkeypatch.setattr(mql.hecke, "_odd_content", lambda q: 3)
-    with pytest.raises(ArithmeticError):
+    table = random_maass_table(-1, seed=12, k_max=2048)
+    real = mql.hecke._class_pattern
+
+    def flipped(x, p):
+        pattern = list(real(x, p))
+        if 1 in pattern[side]:
+            j = pattern[side].index(1)
+            pattern[side] = pattern[side][:j] + (0,) + pattern[side][j + 1:]
+        return tuple(pattern)
+
+    monkeypatch.setattr(mql.hecke, "_class_pattern", flipped)
+    for kind, idx in (("H2", (6, 0, 1)), ("H4", (6, 0, 1)), ("H3", (18, 0, 1))):
+        op = HeckeOperator(kind, 3)
+        assert apply(op, table, idx) != reference_apply(op, table, idx), (kind, side)
+
+
+def corrupt_left_patterns(monkeypatch):
+    """Make every left product read as divisible by p.  The kept H2 term at
+    (2, 0, 1) then reads odd content 3 at norm 6: the invalid (6, 0, 3)."""
+    import mql.hecke
+
+    real = mql.hecke._class_pattern
+    monkeypatch.setattr(mql.hecke, "_class_pattern", lambda x, p: ((1,) * (p + 1), real(x, p)[1]))
+
+
+def test_invalid_closed_form_index_raises(maass_table, monkeypatch):
+    corrupt_left_patterns(monkeypatch)
+    with pytest.raises(ArithmeticError, match=r"index \(6, 0, 3\) is not valid"):
         apply(HeckeOperator("H2", 3), maass_table, (2, 0, 1))
 
 
-def test_class_sum_products_lie_at_their_known_index():
-    # every product a class sum reads lies in the dual lattice at the norm K'
-    # and 2-adic index u' its family fixes, with the odd content read off it
-    families = []
+def test_class_sum_reads_are_the_literal_products_indices():
+    # every term a class sum reads is at the index of its literal product, in
+    # class order, though the sum forms no product for H2 and H4 and only p+1
+    # for H3; one view per prime shares its patterns across the three kinds
+    reads = []
 
     class RecordingView(_RawView):
         __slots__ = ()
 
-        def add(self, total, K, u, qs):
-            qs = list(qs)
-            families.append((K, u, qs))
-            return super().add(total, K, u, qs)
+        def raw(self, key):
+            reads.append(key)
+            return super().raw(key)
+
+    def index_of(q):
+        assert _in_dual_lattice(q), q
+        return _lattice_index(q)
 
     table = random_maass_table(1, seed=18, k_max=2048)
     checked = 0
     for p in (3, 5, 7):
+        reps, conjs = _class_tuples(p)
+        view = RecordingView(table)
+
+        def divided(qs):
+            return [index_of(q) for q in (_div_scalar(q, p) for q in qs) if q is not None]
+
         for kind in ("H2", "H3", "H4"):
             op = HeckeOperator(kind, p)
-            act = _action(op, RecordingView(table))
+            act = _action(op, view)
             for idx in valid_indices(table.k_max // op.norm_growth):
-                families.clear()
-                act(idx, representative(idx).dc)
-                norms = [K for K, _, _ in families]
+                b = representative(idx).dc
+                left = [_mul(c, b) for c in conjs]
                 if kind == "H3":
-                    assert norms == [idx.K] * (p + 1)
+                    middle = divided([_mul(q, a) for q in left for a in reps])
+                    outer = divided([b]) + [index_of(tuple(p * v for v in b))]
+                    expect, terms = outer + middle, middle
                 else:
-                    assert norms == [idx.K // p, idx.K * p]
-                    assert len(families[1][2]) == p + 1
-                for K, u, qs in families:
-                    assert u == idx.u
-                    for q in qs:
-                        assert _in_dual_lattice(q), (kind, p, idx, q)
-                        assert _lattice_index(q) == (K, u, _odd_content(q)), (kind, p, idx, q)
-                        checked += 1
+                    right = [_mul(b, a) for a in reps]
+                    div, kept = (left, right) if kind == "H4" else (right, left)
+                    terms = divided(div) + [index_of(q) for q in kept]
+                    expect = terms
+                reads.clear()
+                act(idx, b)
+                assert reads == expect, (kind, p, idx)
+                checked += len(terms)
     assert checked > 10_000
+
+
+def test_class_patterns_match_the_literal_products():
+    # L[j] = [p | conj(alpha_j) x] and R[j] = [p | x alpha_j] for every order
+    # element of norm <= 60, read through one view's memo, so one pattern
+    # stands for every element of its residue mod p.  The elements are closed
+    # under conjugation and x alpha = conj(conj(alpha) conj(x)), so R(x) is
+    # the literal L of conj(x).  On a primitive x the pattern sums to the
+    # divisibility counts.
+    qs = [q for m in range(1, 61) for q in elements_of_norm(m)]
+    view = _RawView(random_maass_table(1, seed=1, k_max=8))
+    for p in (3, 5, 7, 11, 13):
+        conjs = _class_tuples(p)[1]
+        lefts = {q.dc: tuple(int(_div_scalar(_mul(c, q.dc), p) is not None) for c in conjs) for q in qs}
+        for q in qs:
+            L, R = view.pattern(q.dc, p)
+            assert (L, R) == (lefts[q.dc], lefts[_conj(q.dc)]), (p, q)
+            if q.is_primitive():
+                assert divisibility_counts(q, p) == (sum(L), sum(R)), (p, q)
 
 
 def representatives_up_to(k_max, extra_norm=60):
@@ -530,12 +592,12 @@ def test_sweep_images_match_apply_bit_for_bit(p, epsilon, backing):
 
 
 def test_sweep_invalid_closed_form_index_raises(maass_table, monkeypatch):
-    import mql.hecke
-
-    monkeypatch.setattr(mql.hecke, "_odd_content", lambda q: 3)
-    with pytest.raises(ArithmeticError):
+    corrupt_left_patterns(monkeypatch)
+    with pytest.raises(ArithmeticError, match=r"index \(6, 0, 3\) is not valid"):
         stability_sweep([HeckeOperator("T2", 2), HeckeOperator("H2", 3)], maass_table)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=r"index \(6, 0, 3\) is not valid"):
+        hecke_image_table(HeckeOperator("H2", 3), maass_table)
+    with pytest.raises(ArithmeticError, match="is not valid"):
         hecke_image_table(HeckeOperator("H3", 3), maass_table)
 
 
