@@ -50,9 +50,9 @@ the class patterns met so far, and each public call makes exactly one:
 ``stability_sweep`` shares its view, and one list of representatives,
 across all its images, and ``verify_eigen_relations`` across its bases,
 every operator ratio and its lambda_p ladders.  An index that fails
-``is_valid_index`` raises ArithmeticError instead of reading as zero.  ``stability_sweep`` checks each
-image by ``check_maass`` alone; the H3 p-power shift identity is its
-divisor-sum row at (2p^m, 0, p^l).
+``is_valid_index`` raises ArithmeticError instead of reading as zero.
+``stability_sweep`` checks each image by ``check_maass`` alone; the H3
+p-power shift identity is its divisor-sum row at (2p^m, 0, p^l).
 
 Lookups that would pass the table bound raise TableBoundsError rather than
 zero-fill; a truncation here would silently corrupt every ratio computed
@@ -75,6 +75,7 @@ from .quaternion import (
     CanonicalIndex,
     _W,
     _class_tuples,
+    _conj,
     _divided_products,
     _mul,
     _smallest_odd_prime_factor,
@@ -175,15 +176,20 @@ class _RawView:
 
 
 def _class_pattern(x: tuple, p: int) -> tuple:
-    """The pattern (L, R) of the point x at p: L[j] is 1 when p divides
+    """The pattern (L, R) of a nonzero point x at p: L[j] is 1 when p divides
     conj(alpha_j) x and R[j] is 1 when p divides x alpha_j, else 0, over the
-    norm-p class representatives alpha_j in order.  The products are formed
-    by ``_divided_products``."""
+    norm-p class representatives alpha_j in order.
+
+    One ``_divided_products`` call per side forms the products p divides, and
+    each quotient q names its class: with m = N(x)/p, an integer whenever p
+    divides such a product, q conj(x) = m conj(alpha_j) on the left and
+    conj(x) q = m alpha_j on the right."""
     reps, conjs = _class_tuples(p)
-    return (
-        tuple(len(_divided_products(x, (c,), p, True)) for c in conjs),
-        tuple(len(_divided_products(x, (a,), p, False)) for a in reps),
-    )
+    cx = _conj(x)
+    m = sum(v * v for v in x) // (4 * p)
+    left = {tuple(v // m for v in _mul(q, cx)) for q in _divided_products(x, conjs, p, True)}
+    right = {tuple(v // m for v in _mul(cx, q)) for q in _divided_products(x, reps, p, False)}
+    return tuple(int(c in left) for c in conjs), tuple(int(a in right) for a in reps)
 
 
 def _action(op: HeckeOperator, view: _RawView):

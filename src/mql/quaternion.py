@@ -57,7 +57,7 @@ object per intermediate result: ``_mul`` (the product formula),
 product formed one coordinate at a time and dropped at the first coordinate s
 does not divide; s is a prime p or its square) and ``_lattice_index`` (the
 closed-form index above).  The Hecke class sums form almost no products:
-they call ``_divided_products`` once per class and residue mod p, to learn
+they call ``_divided_products`` once per side and residue mod p, to learn
 which classes p divides, and read every term's index off that.
 ``_divided_products`` skips nothing that
 ``_div_scalar`` would keep: for odd s, s divides a product exactly when it

@@ -13,7 +13,6 @@ from mql.hecke import (
     HeckeOperator,
     _RawView,
     _action,
-    _class_pattern,
     _fit_ratio,
     _images,
     _usable_bases,
@@ -379,7 +378,10 @@ def test_class_patterns_match_the_literal_products():
     view = _RawView(random_maass_table(1, seed=1, k_max=8))
     for p in (3, 5, 7, 11, 13):
         conjs = _class_tuples(p)[1]
-        lefts = {q.dc: tuple(int(_div_scalar(_mul(c, q.dc), p) is not None) for c in conjs) for q in qs}
+        lefts = {
+            q.dc: tuple(int(_div_scalar(_mul(c, q.dc), p) is not None) for c in conjs)
+            for q in qs
+        }
         for q in qs:
             L, R = view.pattern(q.dc, p)
             assert (L, R) == (lefts[q.dc], lefts[_conj(q.dc)]), (p, q)
@@ -597,7 +599,12 @@ def test_sweep_invalid_closed_form_index_raises(maass_table, monkeypatch):
         stability_sweep([HeckeOperator("T2", 2), HeckeOperator("H2", 3)], maass_table)
     with pytest.raises(ArithmeticError, match=r"index \(6, 0, 3\) is not valid"):
         hecke_image_table(HeckeOperator("H2", 3), maass_table)
-    with pytest.raises(ArithmeticError, match="is not valid"):
+    # with every class dividing on both sides, the first H3 middle term at
+    # (2, 0, 1) reads odd content 3 p / p at norm 2: the invalid (2, 0, 3)
+    import mql.hecke
+
+    monkeypatch.setattr(mql.hecke, "_class_pattern", lambda x, p: ((1,) * (p + 1),) * 2)
+    with pytest.raises(ArithmeticError, match=r"index \(2, 0, 3\) is not valid"):
         hecke_image_table(HeckeOperator("H3", 3), maass_table)
 
 
